@@ -16,13 +16,13 @@ from .core import (
     serialize_dataset,
 )
 from .estimator import (
-    CrossfitNuisances,
     DRScores,
-    OracleNuisances,
+    NuisanceTable,
     ValueBreakdown,
     compute_dr_scores,
     fit_crossfit_nuisances,
     make_folds,
+    oracle_nuisances,
     value_breakdown,
 )
 from .idbounds import (

@@ -25,7 +25,6 @@ from .core import (
     baseline_policy,
     load_dataset,
 )
-from .idbounds import SmoothnessParams, build_bound_model
 from .learner import (
     LearnerConfig,
     learn_from_components,
@@ -75,14 +74,16 @@ def _load_design(path: str) -> StudyDesign:
     return StudyDesign(doc)
 
 
-def _merged_config(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise DataError(f"config file {args.config!r} must be a mapping")
-        cfg.update(loaded)
+def _load_config_file(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = yaml.safe_load(fh) or {}
+    if not isinstance(loaded, dict):
+        raise DataError(f"config file {path!r} must be a mapping")
+    return loaded
+
+
+def _merged_config(args, file_cfg: dict) -> dict:
+    cfg = dict(file_cfg)
     for key, value in vars(args).items():
         if key in ("func", "config") or value is None:
             continue
@@ -97,7 +98,6 @@ def _validate_ranges(cfg: dict):
         ("reps", lambda v: v >= 2, "must be >= 2"),
         ("clamp", lambda v: 0 < v < 0.5, "must be in (0, 0.5)"),
         ("cost", lambda v: v >= 0, "must be nonnegative"),
-        ("threads", lambda v: v >= 1, "must be >= 1"),
         ("multiplier", lambda v: v >= 0, "must be nonnegative"),
     ]
     for key, ok, msg in checks:
@@ -132,18 +132,13 @@ def _csv_with_provenance(body: str, cfg: dict) -> str:
     return f"# config_hash={prov['config_hash']} seed={prov['seed']}\n" + body
 
 
-def cmd_learn(args) -> int:
-    cfg = _merged_config(args)
+def cmd_learn(cfg: dict) -> int:
     design = _load_design(cfg["design"])
     dataset = load_dataset(cfg["input"], design)
     lcfg = _learner_config(cfg)
     components = prepare_components(dataset, lcfg)
     learned = learn_from_components(components, multiplier=lcfg.multiplier,
                                     utility=lcfg.utility)
-    params = SmoothnessParams(lam=components.base_smoothness.lam,
-                              multiplier=lcfg.multiplier)
-    bounds = build_bound_model(dataset, components.nuisances, params,
-                               curves=components.curves)
     base = baseline_policy(design)
     result = {
         "provenance": _provenance(cfg),
@@ -175,14 +170,13 @@ def cmd_learn(args) -> int:
     _atomic_write(os.path.join(out, "objective_curves.csv"),
                   _csv_with_provenance(objective_tables_csv(learned, design), cfg))
     _atomic_write(os.path.join(out, "bound_curves.csv"),
-                  _csv_with_provenance(bounds.export_curves_csv(), cfg))
+                  _csv_with_provenance(learned.bounds.export_curves_csv(), cfg))
     print(f"learned policy written to {out} "
           f"(objective gain {learned.objective_gain:.6g})")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _merged_config(args)
+def cmd_simulate(cfg: dict) -> int:
     scenarios = cfg.get("scenarios", ["A"])
     for s in scenarios:
         if s not in ("A", "B"):
@@ -205,8 +199,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sensitivity(args) -> int:
-    cfg = _merged_config(args)
+def cmd_sensitivity(cfg: dict) -> int:
     design = _load_design(cfg["design"])
     dataset = load_dataset(cfg["input"], design)
     multipliers = cfg.get("multipliers") or [1.0]
@@ -219,8 +212,7 @@ def cmd_sensitivity(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    cfg = _merged_config(args)
+def cmd_validate(cfg: dict) -> int:
     design = _load_design(cfg["design"])
     dataset = load_dataset(cfg["input"], design)
     counts = {str(label): int((dataset.rank == design.rank_of(label)).sum())
@@ -234,9 +226,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="YAML config file; flags override its keys")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int,
-                   help="parallelism cap (accepted for interface stability; "
-                        "computation is vectorized in-process)")
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -293,16 +282,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        file_cfg = _load_config_file(args.config) if args.config else {}
         for req in ("input", "design"):
-            if hasattr(args, req) and getattr(args, req) is None:
-                cfg_file = getattr(args, "config", None)
-                if not cfg_file or req not in (yaml.safe_load(open(cfg_file)) or {}):
-                    parser.error(f"--{req} is required (flag or config key)")
-        if getattr(args, "out", None) is None and args.command != "validate":
-            cfg_file = getattr(args, "config", None)
-            if not cfg_file or "out" not in (yaml.safe_load(open(cfg_file)) or {}):
-                parser.error("--out is required (flag or config key)")
-        return args.func(args)
+            if hasattr(args, req) and getattr(args, req) is None and req not in file_cfg:
+                parser.error(f"--{req} is required (flag or config key)")
+        if args.out is None and args.command != "validate" and "out" not in file_cfg:
+            parser.error("--out is required (flag or config key)")
+        return args.func(_merged_config(args, file_cfg))
     except (DataError, DesignError) as exc:
         print(f"error (validation): {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -144,10 +144,6 @@ class UtilityConfig:
             raise DataError(f"treatment cost must be nonnegative, got {self.cost}")
 
 
-def apply_utility(y: float, w: int, cfg: UtilityConfig) -> float:
-    return y - cfg.cost * w
-
-
 class Dataset:
     """Immutable, validated collection of sharp-RD records under a design.
 
@@ -263,16 +259,10 @@ def baseline_policy(design: StudyDesign) -> ThresholdPolicy:
     return ThresholdPolicy(design.cutoffs, design)
 
 
-def assign(policy: ThresholdPolicy, x: float, g) -> int:
-    return policy.assign(x, g)
-
-
 _COLUMNS = ("x", "g", "w", "y")
 
 
-def _open_source(source):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8", newline="")
+def _text_stream(source):
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8"))
     if isinstance(source, io.TextIOBase):
@@ -301,11 +291,20 @@ def load_dataset(
 ) -> Dataset:
     """Parse delimiter-separated text with header columns x, g, w, y.
 
-    Column names are case-insensitive and may appear in any order. Every row
-    is checked against the sharp assignment rule of the design; the first
-    offending row is reported.
+    `source` is a path, bytes, or a text or binary stream; a file opened from a
+    path is closed before returning. Column names are case-insensitive and may
+    appear in any order. Every row is checked against the sharp assignment
+    rule of the design; the first offending row is reported.
     """
-    stream = _open_source(source)
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            records = _read_records(stream, design, delimiter)
+    else:
+        records = _read_records(_text_stream(source), design, delimiter)
+    return Dataset(records, design, min_group_size=min_group_size)
+
+
+def _read_records(stream, design: StudyDesign, delimiter: str) -> list:
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -331,7 +330,7 @@ def load_dataset(
             raise DataError(f"row {row_no}: could not parse numeric field ({exc})") from None
         g = _match_group(row[col["g"]].strip(), design, row_no)
         records.append(Record(x=x, g=g, w=w, y=y))
-    return Dataset(records, design, min_group_size=min_group_size)
+    return records
 
 
 def serialize_dataset(dataset: Dataset, delimiter: str = ",") -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, EstimationError, ThresholdPolicy, UtilityConfig
-from .smooth import CurveFit, LocalPolyConfig, PropensityModel, _fit_propensity_arrays
+from .smooth import CurveFit, LocalPolyConfig, _fit_propensity_arrays
 
 
 @dataclass(frozen=True)
@@ -48,92 +48,46 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(k, fold_of)
 
 
-class GroupMeanFit:
-    """Observed conditional-mean curves for one group, split at its own cutoff.
+@dataclass(frozen=True)
+class NuisanceTable:
+    """Out-of-fold nuisance predictions at every record, one column per rank.
 
-    The observed mean E[Y | X, G = g] jumps at the group's baseline cutoff, so
-    the two sides are smoothed separately and every evaluation names the side
-    it wants.
+    treated[i, r-1] is group r's above-cutoff mean curve at x_i, filled where
+    x_i >= c_r; control[i, r-1] is its below-cutoff curve, filled where
+    x_i <= c_r; other entries are NaN. propensity[i] holds the group
+    probabilities at x_i. Cross-fitted entries come from fits that exclude
+    record i's fold.
     """
 
-    def __init__(self, cutoff: float, below: CurveFit | None, above: CurveFit | None):
-        self.cutoff = cutoff
-        self.below = below
-        self.above = above
+    treated: np.ndarray
+    control: np.ndarray
+    propensity: np.ndarray
 
-    def eval_side(self, xq, side: str) -> np.ndarray:
-        fit = self.above if side == "above" else self.below
-        if fit is None:
-            raise EstimationError(
-                f"no conditional-mean fit on the {side}-cutoff side at cutoff "
-                f"{self.cutoff} (too few training points on that side)"
-            )
-        return fit.values(np.atleast_1d(xq))
+    def __post_init__(self):
+        self.treated.flags.writeable = False
+        self.control.flags.writeable = False
+        self.propensity.flags.writeable = False
 
 
-class CrossfitNuisances:
-    """Per-fold nuisance models; record i is always scored out-of-fold."""
-
-    def __init__(self, folds: FoldAssignment, mean_fits, propensity_models):
-        self.folds = folds
-        self.mean_fits = mean_fits  # list over folds of {rank: GroupMeanFit}
-        self.propensity_models = propensity_models  # list over folds
-
-    @property
-    def fold_of(self) -> np.ndarray:
-        return self.folds.fold_of
-
-    def cond_mean(self, x, fold_idx, ranks, side: str) -> np.ndarray:
-        """m-hat^{-k[i]}(x_i, rank_i) on the requested side of each rank's cutoff."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        fold_idx = np.atleast_1d(np.asarray(fold_idx))
-        ranks = np.broadcast_to(np.atleast_1d(np.asarray(ranks)), x.shape)
-        out = np.empty_like(x)
-        for k in np.unique(fold_idx):
-            for r in np.unique(ranks[fold_idx == k]):
-                mask = (fold_idx == k) & (ranks == r)
-                out[mask] = self.mean_fits[k][int(r)].eval_side(x[mask], side)
-        return out
-
-    def propensity(self, x, fold_idx) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        fold_idx = np.atleast_1d(np.asarray(fold_idx))
-        q = self.propensity_models[0].n_groups
-        out = np.empty((x.size, q))
-        for k in np.unique(fold_idx):
-            mask = fold_idx == k
-            out[mask] = self.propensity_models[k].probabilities(x[mask])
-        return out
+def _side_domains(dataset: Dataset, rank: int):
+    """(side, records the side's curve is evaluated at) for one rank."""
+    cut = dataset.design.cutoff_of_rank(rank)
+    return (("below", dataset.x <= cut), ("above", dataset.x >= cut))
 
 
-class OracleNuisances:
-    """User-supplied nuisance functions, e.g. ground truth for verification.
+def oracle_nuisances(dataset: Dataset, mean_fn, propensity_fn) -> NuisanceTable:
+    """A nuisance table from known functions, e.g. ground truth for verification.
 
     `mean_fn(x_array, rank, side)` must return the conditional mean of the raw
     outcome; `propensity_fn(x_array)` a (n, Q) matrix of group probabilities.
     """
-
-    def __init__(self, mean_fn, propensity_fn, n_records: int | None = None):
-        self.mean_fn = mean_fn
-        self.propensity_fn = propensity_fn
-        self._n = n_records
-
-    @property
-    def fold_of(self):
-        return np.zeros(self._n, dtype=np.int64) if self._n is not None else None
-
-    def cond_mean(self, x, fold_idx, ranks, side):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        ranks = np.broadcast_to(np.atleast_1d(np.asarray(ranks)), x.shape)
-        out = np.empty_like(x)
-        for r in np.unique(ranks):
-            mask = ranks == r
-            out[mask] = np.asarray(self.mean_fn(x[mask], int(r), side), dtype=float)
-        return out
-
-    def propensity(self, x, fold_idx):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.asarray(self.propensity_fn(x), dtype=float)
+    n, q = len(dataset), dataset.design.q
+    table = {"above": np.full((n, q), np.nan), "below": np.full((n, q), np.nan)}
+    for rank in range(1, q + 1):
+        for side, domain in _side_domains(dataset, rank):
+            table[side][domain, rank - 1] = mean_fn(dataset.x[domain], rank, side)
+    propensity = np.asarray(propensity_fn(dataset.x), dtype=float)
+    return NuisanceTable(table["above"], table["below"], propensity)
 
 
 def fit_crossfit_nuisances(
@@ -142,36 +96,49 @@ def fit_crossfit_nuisances(
     mean_config: LocalPolyConfig | None = None,
     propensity_degree: int = 3,
     clamp_eps: float = 0.01,
-) -> CrossfitNuisances:
-    """Fit K propensity models and K x Q per-side mean curves, each excluding its fold."""
+) -> NuisanceTable:
+    """Fit K propensity models and K x Q per-side mean curves, each excluding
+    its fold, and evaluate each on its fold's records."""
     mean_config = mean_config or LocalPolyConfig(degree=1)
     design = dataset.design
-    mean_fits = []
-    prop_models = []
+    n, q = len(dataset), design.q
+    x = dataset.x
+    table = {"above": np.full((n, q), np.nan), "below": np.full((n, q), np.nan)}
+    propensity = np.empty((n, q))
+    cutoff_gap = np.searchsorted(design.sorted_cutoffs, x, side="right")
     for k in range(folds.n_folds):
-        train = folds.fold_of != k
-        fits = {}
-        for rank in range(1, design.q + 1):
+        held = folds.fold_of == k
+        train = ~held
+        for rank in range(1, q + 1):
             cut = design.cutoff_of_rank(rank)
             in_group = train & (dataset.rank == rank)
-            sides = {}
-            for name, side_mask in (("below", dataset.x < cut), ("above", dataset.x >= cut)):
-                sel = in_group & side_mask
-                if np.unique(dataset.x[sel]).size >= mean_config.degree + 2:
-                    sides[name] = CurveFit(dataset.x[sel], dataset.y[sel], mean_config)
-                else:
-                    sides[name] = None
-            fits[rank] = GroupMeanFit(cut, sides["below"], sides["above"])
+            for side, domain in _side_domains(dataset, rank):
+                rows = np.flatnonzero(held & domain)
+                if rows.size == 0:
+                    continue
+                # the curves jump at the cutoff, so each side is fit on its own
+                sel = in_group & ((x >= cut) if side == "above" else (x < cut))
+                try:
+                    fit = CurveFit(x[sel], dataset.y[sel], mean_config)
+                    # the smoother's training window spans a whole batch of
+                    # queries; one batch per gap between cutoffs keeps it local
+                    for gap in np.unique(cutoff_gap[rows]):
+                        part = rows[cutoff_gap[rows] == gap]
+                        table[side][part, rank - 1] = fit.values(x[part])
+                except EstimationError as exc:
+                    raise EstimationError(
+                        f"fold {k}, group {design.label_of(rank)!r}, conditional mean "
+                        f"on the {side}-cutoff side: {exc}"
+                    ) from exc
         try:
             prop = _fit_propensity_arrays(
-                dataset.x[train], dataset.rank[train], design.q,
+                x[train], dataset.rank[train], q,
                 basis_degree=propensity_degree, clamp_eps=clamp_eps,
             )
         except EstimationError as exc:
             raise EstimationError(f"fold {k}: {exc}") from exc
-        mean_fits.append(fits)
-        prop_models.append(prop)
-    return CrossfitNuisances(folds, mean_fits, prop_models)
+        propensity[held] = prop.probabilities(x[held])
+    return NuisanceTable(table["above"], table["below"], propensity)
 
 
 @dataclass(frozen=True)
@@ -180,21 +147,26 @@ class DRScores:
 
     gamma1[i, g-1] extrapolates treated outcomes left of group g's cutoff;
     gamma0[i, g-1] extrapolates control outcomes to its right. Both are zero
-    outside the extrapolation region of their group.
+    outside the extrapolation region of their group. own1 marks the gamma1
+    entries that are group g's own treated-mean terms, the only entries a
+    treatment cost moves.
     """
 
     gamma1: np.ndarray
     gamma0: np.ndarray
+    own1: np.ndarray
 
     def __post_init__(self):
         self.gamma1.flags.writeable = False
         self.gamma0.flags.writeable = False
+        self.own1.flags.writeable = False
 
-
-def record_folds(nuisances, n: int) -> np.ndarray:
-    """Fold index per record; oracle nuisances without folds count as fold 0."""
-    fold_of = getattr(nuisances, "fold_of", None)
-    return np.zeros(n, dtype=np.int64) if fold_of is None else fold_of
+    def with_cost(self, cost: float) -> "DRScores":
+        """Scores under utility y - cost*w: own treated-mean terms drop by cost."""
+        if cost == 0.0:
+            return self
+        return DRScores(np.where(self.own1, self.gamma1 - cost, self.gamma1),
+                        self.gamma0, self.own1)
 
 
 def interval_index(x: np.ndarray, design) -> np.ndarray:
@@ -208,7 +180,7 @@ def interval_index(x: np.ndarray, design) -> np.ndarray:
     return np.minimum(r, design.q - 1)
 
 
-def compute_dr_scores(dataset: Dataset, nuisances, cost: float = 0.0) -> DRScores:
+def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable, cost: float = 0.0) -> DRScores:
     """Doubly-robust scores for every record and group under utility y - cost*w."""
     design = dataset.design
     cuts = design.sorted_cutoffs
@@ -216,18 +188,16 @@ def compute_dr_scores(dataset: Dataset, nuisances, cost: float = 0.0) -> DRScore
     n = len(dataset)
     gamma1 = np.zeros((n, q))
     gamma0 = np.zeros((n, q))
+    own1 = np.zeros((n, q), dtype=bool)
     in_r = (dataset.x >= cuts[0]) & (dataset.x <= cuts[-1])
     sub = np.flatnonzero(in_r)
-    if sub.size == 0:
-        return DRScores(gamma1, gamma0)
     x = dataset.x[sub]
     y = dataset.y[sub]
     rank = dataset.rank[sub]
-    fold_idx = record_folds(nuisances, n)[sub]
     j = interval_index(x, design)
-    m_lo = nuisances.cond_mean(x, fold_idx, j, side="above")
-    m_hi = nuisances.cond_mean(x, fold_idx, j + 1, side="below")
-    e = nuisances.propensity(x, fold_idx)
+    m_lo = nuisances.treated[sub, j - 1]  # rank j, above its cutoff
+    m_hi = nuisances.control[sub, j]  # rank j+1, below its cutoff
+    e = nuisances.propensity[sub]
     rows = np.arange(sub.size)
     e_j = e[rows, j - 1]
     e_jp = e[rows, j]  # rank j+1
@@ -236,9 +206,10 @@ def compute_dr_scores(dataset: Dataset, nuisances, cost: float = 0.0) -> DRScore
         own = active & (rank == g)
         ref = active & (rank == j)
         vals = np.zeros(sub.size)
-        vals[own] = m_lo[own] - cost
+        vals[own] = m_lo[own]
         vals[ref] = (e[rows[ref], g - 1] / e_j[ref]) * (y[ref] - m_lo[ref])
         gamma1[sub, g - 1] = vals
+        own1[sub, g - 1] = own
     for g in range(1, q):
         active = j >= g
         own = active & (rank == g)
@@ -247,7 +218,7 @@ def compute_dr_scores(dataset: Dataset, nuisances, cost: float = 0.0) -> DRScore
         vals[own] = m_hi[own]
         vals[ref] = (e[rows[ref], g - 1] / e_jp[ref]) * (y[ref] - m_hi[ref])
         gamma0[sub, g - 1] = vals
-    return DRScores(gamma1, gamma0)
+    return DRScores(gamma1, gamma0, own1).with_cost(cost)
 
 
 def identified_component(

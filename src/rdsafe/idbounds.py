@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, EstimationError, StudyDesign, ThresholdPolicy
-from .estimator import interval_index, record_folds
+from .estimator import NuisanceTable, interval_index
 from .smooth import CurveFit, LocalPolyConfig, boundary_limit
 
 
@@ -33,7 +33,7 @@ def required_pairs(design: StudyDesign):
     return pairs
 
 
-def difference_pseudo_outcomes(dataset: Dataset, nuisances, w: int, g: int, gp: int):
+def difference_pseudo_outcomes(dataset: Dataset, nuisances: NuisanceTable, w: int, g: int, gp: int):
     """Doubly-robust pseudo-outcomes for the difference m(w,x,g) - m(w,x,gp).
 
     Uses records with treatment w from groups g and gp inside the identified
@@ -43,10 +43,10 @@ def difference_pseudo_outcomes(dataset: Dataset, nuisances, w: int, g: int, gp: 
     anchor_cut = design.cutoff_of_rank(anchor_rank(w, g, gp))
     if w == 1:
         region = dataset.x >= anchor_cut
-        side = "above"
+        means = nuisances.treated
     else:
         region = dataset.x <= anchor_cut
-        side = "below"
+        means = nuisances.control
     mask = region & (dataset.w == w) & ((dataset.rank == g) | (dataset.rank == gp))
     if not mask.any():
         raise EstimationError(
@@ -56,10 +56,9 @@ def difference_pseudo_outcomes(dataset: Dataset, nuisances, w: int, g: int, gp: 
     x = dataset.x[mask]
     y = dataset.y[mask]
     rank = dataset.rank[mask]
-    folds = record_folds(nuisances, len(dataset))[mask]
-    m_g = nuisances.cond_mean(x, folds, g, side)
-    m_gp = nuisances.cond_mean(x, folds, gp, side)
-    e = nuisances.propensity(x, folds)
+    m_g = means[mask, g - 1]
+    m_gp = means[mask, gp - 1]
+    e = nuisances.propensity[mask]
     is_g = rank == g
     is_gp = rank == gp
     phi = (
@@ -103,14 +102,6 @@ def fit_difference_curve(
     else:
         region = (float(x.min()), anchor_cut)
     return DifferenceCurve(w, g, gp, curve, region, anchor_cut)
-
-
-def estimate_difference_curve(
-    dataset: Dataset, nuisances, w: int, g: int, gp: int,
-    config: LocalPolyConfig | None = None,
-) -> DifferenceCurve:
-    x, phi = difference_pseudo_outcomes(dataset, nuisances, w, g, gp)
-    return fit_difference_curve(x, phi, w, g, gp, dataset.design, config)
 
 
 def boundary_difference(curve: DifferenceCurve) -> float:
@@ -190,6 +181,15 @@ class BoundModel:
         out = self._lookup(w, x, g, gp, +1.0)
         return float(out) if np.ndim(x) == 0 and np.ndim(g) == 0 else out
 
+    def max_half_width(self, x) -> np.ndarray:
+        """Largest envelope half-width lambda_eff * |x - anchor cutoff| over all
+        bounded pairs, at each x."""
+        x = np.asarray(x, dtype=float)
+        worst = np.zeros(x.shape)
+        for (w, g, gp) in self.boundary:
+            worst = np.maximum(worst, self._lam[w][g, gp] * np.abs(x - self._anchor[w][g, gp]))
+        return worst
+
     def export_curves_csv(self, grid_size: int = 101) -> str:
         """Bound envelopes on an x grid over [c_1, c_Q], as CSV for plotting."""
         design = self.design
@@ -213,7 +213,8 @@ def fit_all_difference_curves(
     curves = {}
     for (w, g, gp) in required_pairs(dataset.design):
         try:
-            curves[(w, g, gp)] = estimate_difference_curve(dataset, nuisances, w, g, gp, config)
+            x, phi = difference_pseudo_outcomes(dataset, nuisances, w, g, gp)
+            curves[(w, g, gp)] = fit_difference_curve(x, phi, w, g, gp, dataset.design, config)
         except EstimationError as exc:
             raise EstimationError(
                 f"could not estimate the difference curve for pair "

@@ -17,6 +17,7 @@ import numpy as np
 from .core import Dataset, StudyDesign, ThresholdPolicy, UtilityConfig, baseline_policy
 from .estimator import (
     DRScores,
+    NuisanceTable,
     ValueBreakdown,
     compute_dr_scores,
     fit_crossfit_nuisances,
@@ -188,6 +189,7 @@ class LearnedPolicy:
     breakdown: ValueBreakdown
     baseline_breakdown: ValueBreakdown
     objective_tables: dict  # rank -> (candidates, objective values)
+    bounds: BoundModel  # the envelopes the search maximized under
     diagnostics: dict
 
     @property
@@ -198,11 +200,12 @@ class LearnedPolicy:
 @dataclass(frozen=True)
 class PipelineComponents:
     """Policy-independent pieces fitted once per dataset: nuisances, raw-outcome
-    DR scores, difference curves with base smoothness, and the candidate grid."""
+    DR scores (costs are applied by `DRScores.with_cost`), difference curves
+    with base smoothness, and the candidate grid."""
 
     dataset: Dataset
     baseline: ThresholdPolicy
-    nuisances: object
+    nuisances: NuisanceTable
     curves: dict
     base_smoothness: SmoothnessParams
     grid: CandidateGrid
@@ -219,7 +222,7 @@ def prepare_components(dataset: Dataset, config: LearnerConfig | None = None) ->
     curves = fit_all_difference_curves(dataset, nuisances, config.curve_config)
     base = estimate_smoothness(curves, grid_size=config.lambda_grid_size)
     grid = candidate_grid(dataset, dataset.design, config.grid_mode)
-    raw_scores = compute_dr_scores(dataset, nuisances, cost=0.0)
+    raw_scores = compute_dr_scores(dataset, nuisances)
     return PipelineComponents(
         dataset=dataset,
         baseline=baseline_policy(dataset.design),
@@ -237,17 +240,7 @@ def _lipschitz_diagnostic(dataset: Dataset, bounds: BoundModel) -> float:
     partially identified term can move the objective."""
     x = dataset.x
     in_r = (x >= dataset.design.c_min) & (x <= dataset.design.c_max)
-    xs = x[in_r]
-    if xs.size == 0:
-        return 0.0
-    worst = np.zeros(xs.size)
-    for w in (0, 1):
-        lam = bounds._lam[w]
-        anchor = bounds._anchor[w]
-        ok = ~np.isnan(lam)
-        for g, gp in zip(*np.nonzero(ok)):
-            worst = np.maximum(worst, lam[g, gp] * np.abs(xs - anchor[g, gp]))
-    return float(2.0 * np.sum(worst) / len(dataset))
+    return float(2.0 * np.sum(bounds.max_half_width(x[in_r])) / len(dataset))
 
 
 def learn_from_components(components: PipelineComponents,
@@ -258,8 +251,7 @@ def learn_from_components(components: PipelineComponents,
     design = dataset.design
     baseline = components.baseline
     cost = utility.cost if utility is not None else 0.0
-    scores = (components.raw_scores if cost == 0.0
-              else compute_dr_scores(dataset, components.nuisances, cost=cost))
+    scores = components.raw_scores.with_cost(cost)
     params = SmoothnessParams(lam=components.base_smoothness.lam, multiplier=multiplier)
     bounds = build_bound_model(dataset, components.nuisances, params, curves=components.curves)
     cutoffs = {}
@@ -277,6 +269,7 @@ def learn_from_components(components: PipelineComponents,
         breakdown=breakdown,
         baseline_breakdown=base_breakdown,
         objective_tables=tables,
+        bounds=bounds,
         diagnostics={
             "multiplier": multiplier,
             "cost": cost,

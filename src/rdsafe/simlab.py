@@ -8,11 +8,11 @@ B lowering the upper group's cutoff is genuinely beneficial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, Record, StudyDesign, ThresholdPolicy, baseline_policy
+from .core import Dataset, RdsafeError, Record, StudyDesign, ThresholdPolicy, baseline_policy
 from .learner import LearnerConfig, learn_policy
 
 _CUTOFFS = {1: -850.0, 2: -571.0}
@@ -115,7 +115,8 @@ def true_value(policy: ThresholdPolicy, spec: ScenarioSpec,
     policies evaluated on the same population sample.
     """
     x, g = draws if draws is not None else _draw_population(spec, mc_size, seed)
-    pi = policy.indicator(x, g).astype(int)
+    # draws carry the labels 1 and 2, which need not be the cutoff ranks
+    pi = (x >= np.where(g == 1, policy.cutoffs[1], policy.cutoffs[2])).astype(int)
     m = spec.mean_outcome(pi, x, g)
     return float(np.mean(m) - cost * np.mean(pi))
 
@@ -130,12 +131,11 @@ def oracle_policy(spec: ScenarioSpec, grid_size: int = 200,
     cutoffs = {}
     for rank in range(1, design.q + 1):
         label = design.label_of(rank)
-        own = g == rank
-        xo = np.sort(x[own])
+        xo = np.sort(x[g == label])
         # value contribution of this group at cutoff c, via suffix sums of the
         # per-draw treat-minus-control gain
-        m1 = spec.mean_outcome(np.ones_like(xo), xo, np.full(xo.shape, rank)) - cost
-        m0 = spec.mean_outcome(np.zeros_like(xo), xo, np.full(xo.shape, rank))
+        m1 = spec.mean_outcome(np.ones_like(xo), xo, np.full(xo.shape, label)) - cost
+        m0 = spec.mean_outcome(np.zeros_like(xo), xo, np.full(xo.shape, label))
         diff = m1 - m0
         suffix = np.concatenate([np.cumsum(diff[::-1])[::-1], [0.0]])
         pos = np.searchsorted(xo, grid, side="left")
@@ -196,8 +196,10 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                       learner_config: LearnerConfig | None = None) -> RegretReport:
     """Monte Carlo regret of the learned policy against baseline and oracle.
 
-    Per-replication failures are excluded and counted; a cell with 5% or more
-    failures is marked invalid. Deterministic given the master seed.
+    Replications that fail with a package error or a singular linear solve
+    are excluded and counted; a cell with 5% or more failures is marked
+    invalid. Any other exception propagates. Deterministic given the master
+    seed.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
@@ -221,19 +223,12 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                     child = ss.generate_state(2)
                     try:
                         data = generate(spec, seed=ss)
-                        cfg = learner_config or LearnerConfig()
-                        cfg = LearnerConfig(
-                            n_folds=cfg.n_folds, seed=int(child[0] % 2**31),
-                            grid_mode=cfg.grid_mode, multiplier=float(m),
-                            utility=cfg.utility, mean_config=cfg.mean_config,
-                            curve_config=cfg.curve_config,
-                            propensity_degree=cfg.propensity_degree,
-                            clamp_eps=cfg.clamp_eps,
-                            lambda_grid_size=cfg.lambda_grid_size,
-                        )
+                        cfg = replace(learner_config or LearnerConfig(),
+                                      seed=int(child[0] % 2**31),
+                                      multiplier=float(m))
                         learned = learn_policy(data, cfg)
                         v_hat = true_value(learned.policy, spec, draws=draws)
-                    except Exception:
+                    except (RdsafeError, np.linalg.LinAlgError):
                         failures += 1
                         continue
                     reg_base.append(v_base - v_hat)

@@ -277,11 +277,6 @@ class PropensityModel:
         return eps + (1.0 - self.n_groups * eps) * p
 
 
-def eval_propensity(model: PropensityModel, x: float) -> np.ndarray:
-    """Clamped probability vector of length Q at a single point."""
-    return model.probabilities(x)[0]
-
-
 def _multinomial_loglik(b, t, coef):
     logits = np.column_stack([b @ coef.T, np.zeros(b.shape[0])])
     m = logits.max(axis=1, keepdims=True)
@@ -351,6 +346,9 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
                 break
             scale_step *= 0.5
         if not improved:
+            # no step raises the log-likelihood within rounding: at the optimum
+            # exactly when the Newton decrement g'H^-1g/2 is negligible
+            converged = 0.5 * float(grad @ step.ravel()) < tol
             break
         coef = cand
         path.append(ll_new)

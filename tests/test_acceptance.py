@@ -27,7 +27,7 @@ from rdsafe.core import (
     baseline_policy,
     serialize_dataset,
 )
-from rdsafe.estimator import OracleNuisances, compute_dr_scores, dr_component, value_breakdown
+from rdsafe.estimator import compute_dr_scores, dr_component, oracle_nuisances, value_breakdown
 from rdsafe.idbounds import BoundModel, SmoothnessParams
 from rdsafe.learner import (
     LearnerConfig,
@@ -165,7 +165,7 @@ class TestCriterion5BruteForceEquivalence:
         for seed in range(100):
             ds, mean_fn, prop_fn = random_toy(seed)
             design = ds.design
-            nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+            nus = oracle_nuisances(ds, mean_fn, prop_fn)
             cost = float(rng.choice([0.0, 0.4]))
             scores = compute_dr_scores(ds, nus, cost=cost)
             boundary, lam, anchors = random_bounds(design, seed + 10_000)
@@ -240,7 +240,7 @@ class TestCriterion6DoubleRobustness:
             vals = []
             for rep in range(200):
                 ds = generate(spec, seed=rep_seed("c6" + name, rep))
-                nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+                nus = oracle_nuisances(ds, mean_fn, prop_fn)
                 scores = compute_dr_scores(ds, nus)
                 vals.append(dr_component(ds, policy, base, scores))
             vals = np.asarray(vals)

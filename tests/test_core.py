@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdsafe import core
 from rdsafe.core import (
     AssignmentViolationError,
     DataError,
@@ -14,7 +15,6 @@ from rdsafe.core import (
     StudyDesign,
     ThresholdPolicy,
     UtilityConfig,
-    apply_utility,
     baseline_policy,
     load_dataset,
     serialize_dataset,
@@ -95,11 +95,6 @@ class TestDataset:
 
 
 class TestUtility:
-    def test_cost_applied_to_treated_only(self):
-        cfg = UtilityConfig(cost=0.25)
-        assert apply_utility(1.0, 1, cfg) == 0.75
-        assert apply_utility(1.0, 0, cfg) == 1.0
-
     def test_negative_cost_rejected(self):
         with pytest.raises(DataError):
             UtilityConfig(cost=-0.1)
@@ -168,6 +163,25 @@ class TestLoadAndSerialize:
         broken = base + "oops,1,1,0.0\n"
         with pytest.raises(DataError, match="row 81"):
             load_dataset(io.StringIO(broken), d)
+
+    def test_files_opened_from_paths_are_closed(self, tmp_path, monkeypatch):
+        d = StudyDesign({1: 0.0, 2: 10.0})
+        body = serialize_dataset(Dataset(make_records(d), d))
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(body)
+        bad.write_text(body + "oops,1,1,0.0\n")
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(core, "open", recording_open, raising=False)
+        assert len(load_dataset(good, d)) == 80
+        with pytest.raises(DataError, match="row 81"):
+            load_dataset(str(bad), d)
+        assert len(handles) == 2
+        assert all(fh.closed for fh in handles)
 
     def test_empty_input(self):
         d = StudyDesign({1: 0.0, 2: 10.0})

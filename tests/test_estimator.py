@@ -12,16 +12,17 @@ from rdsafe.core import (
     baseline_policy,
 )
 from rdsafe.estimator import (
-    OracleNuisances,
     compute_dr_scores,
     dr_component,
     fit_crossfit_nuisances,
     identified_component,
     interval_index,
     make_folds,
+    oracle_nuisances,
     value_breakdown,
 )
 from rdsafe.idbounds import BoundModel, SmoothnessParams
+from rdsafe.smooth import CurveFit, LocalPolyConfig
 
 
 def simple_dataset(n=200, seed=0, q=2):
@@ -71,7 +72,7 @@ class TestDRScores:
         # gamma1 nonzero only for x in [c_1, c_g), gamma0 only for x in [c_g, c_Q]
         for seed in range(10):
             ds, mean_fn, prop_fn = random_toy(seed)
-            nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+            nus = oracle_nuisances(ds, mean_fn, prop_fn)
             scores = compute_dr_scores(ds, nus)
             cuts = ds.design.sorted_cutoffs
             for g in range(1, ds.design.q + 1):
@@ -96,7 +97,7 @@ class TestDRScores:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             return np.column_stack([np.full(x.size, 0.25), np.full(x.size, 0.75)])
 
-        nus = OracleNuisances(mean_fn, prop_fn, n_records=3)
+        nus = oracle_nuisances(ds, mean_fn, prop_fn)
         s = compute_dr_scores(ds, nus)
         # record 0 (G=2) in interval of group 1: own term of gamma1[.,2]
         assert s.gamma1[0, 1] == pytest.approx(2.0)
@@ -114,7 +115,7 @@ class TestDRScores:
         # scores with cost C on raw y == scores with cost 0 on utility-shifted
         # problem where treated means and treated outcomes drop by C
         ds, mean_fn, prop_fn = random_toy(3)
-        nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+        nus = oracle_nuisances(ds, mean_fn, prop_fn)
         c = 0.7
         shifted = compute_dr_scores(ds, nus, cost=c)
         plain = compute_dr_scores(ds, nus, cost=0.0)
@@ -135,7 +136,7 @@ class TestComponentsAgainstBruteForce:
         for seed in range(20):
             ds, mean_fn, prop_fn = random_toy(seed)
             design = ds.design
-            nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+            nus = oracle_nuisances(ds, mean_fn, prop_fn)
             cost = float(rng.choice([0.0, 0.3]))
             scores = compute_dr_scores(ds, nus, cost=cost)
             boundary, lam, anchors = random_bounds(design, seed + 1000)
@@ -154,26 +155,69 @@ class TestComponentsAgainstBruteForce:
 
     def test_baseline_policy_components(self):
         ds, mean_fn, prop_fn = random_toy(7)
-        nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+        nus = oracle_nuisances(ds, mean_fn, prop_fn)
         scores = compute_dr_scores(ds, nus)
         base = baseline_policy(ds.design)
         assert identified_component(ds, base, base) == pytest.approx(float(np.mean(ds.y)))
         assert dr_component(ds, base, base, scores) == 0.0
 
 
+def folded_dataset(n, seed, k, extra=()):
+    ds = simple_dataset(n, seed=seed)
+    if extra:
+        ds = Dataset(ds.records + tuple(extra), ds.design, min_group_size=1)
+    return ds, make_folds(ds, k, seed=seed)
+
+
 class TestCrossfitNuisances:
-    def test_out_of_fold_evaluation_changes_with_fold(self):
-        ds = simple_dataset(400, seed=5)
-        folds = make_folds(ds, 4, seed=2)
+    def test_entries_match_out_of_fold_curve_fits(self):
+        ds, folds = folded_dataset(400, seed=5, k=4)
         nus = fit_crossfit_nuisances(ds, folds)
-        x = np.full(4, 1.0)
-        vals = nus.cond_mean(x, np.arange(4), np.full(4, 2), side="below")
-        assert np.unique(vals).size > 1  # different folds, different fits
+        config = LocalPolyConfig(degree=1)
+        checked = 0
+        for rank in (1, 2):
+            cut = ds.design.cutoff_of_rank(rank)
+            for table, fit_side, domain in ((nus.treated, ds.x >= cut, ds.x >= cut),
+                                            (nus.control, ds.x < cut, ds.x <= cut)):
+                for i in np.flatnonzero(domain):
+                    train = (folds.fold_of != folds.fold_of[i]) & (ds.rank == rank) & fit_side
+                    want = CurveFit(ds.x[train], ds.y[train], config).value(ds.x[i])
+                    assert abs(table[i, rank - 1] - want) <= 1e-12
+                    checked += 1
+        assert checked == 2 * len(ds) + np.isin(ds.x, ds.design.sorted_cutoffs).sum()
+
+    def test_entries_outside_domain_are_nan(self):
+        ds, folds = folded_dataset(300, seed=2, k=3)
+        nus = fit_crossfit_nuisances(ds, folds)
+        for rank in (1, 2):
+            cut = ds.design.cutoff_of_rank(rank)
+            assert np.array_equal(np.isnan(nus.treated[:, rank - 1]), ds.x < cut)
+            assert np.array_equal(np.isnan(nus.control[:, rank - 1]), ds.x > cut)
+
+    def test_out_of_fold_evaluation_changes_with_fold(self):
+        same_x = [Record(x=1.0, g=2, w=0, y=float(v)) for v in range(8)]
+        ds, folds = folded_dataset(400, seed=5, k=4, extra=same_x)
+        nus = fit_crossfit_nuisances(ds, folds)
+        rows = np.flatnonzero(ds.x == 1.0)
+        assert np.unique(folds.fold_of[rows]).size > 1
+        # different folds, different fits
+        assert np.unique(nus.control[rows, 1]).size > 1
+        assert np.unique(nus.treated[rows, 0]).size > 1
 
     def test_propensity_rows_normalized(self):
-        ds = simple_dataset(300, seed=8)
-        folds = make_folds(ds, 3, seed=1)
+        ds, folds = folded_dataset(300, seed=8, k=3)
         nus = fit_crossfit_nuisances(ds, folds)
-        p = nus.propensity(ds.x, folds.fold_of)
+        p = nus.propensity
+        assert p.shape == (len(ds), 2)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert (p > 0).all()
+
+    def test_sparse_side_error_names_fold_group_and_side(self):
+        design = StudyDesign({"a": -5.0, "b": 5.0})
+        recs = [Record(x=float(v), g="a", w=int(v >= -5), y=0.0) for v in np.linspace(-8, 8, 60)]
+        recs += [Record(x=float(v), g="b", w=1, y=0.0) for v in np.linspace(5, 8, 30)]
+        recs += [Record(x=0.0, g="b", w=0, y=0.0), Record(x=1.0, g="b", w=0, y=0.0)]
+        ds = Dataset(recs, design, min_group_size=1)
+        with pytest.raises(EstimationError,
+                           match=r"fold 0, group 'b', conditional mean on the below-cutoff side"):
+            fit_crossfit_nuisances(ds, make_folds(ds, 2, seed=0))

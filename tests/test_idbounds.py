@@ -12,7 +12,7 @@ from rdsafe.core import (
     ThresholdPolicy,
     baseline_policy,
 )
-from rdsafe.estimator import OracleNuisances, compute_dr_scores
+from rdsafe.estimator import compute_dr_scores, oracle_nuisances
 from rdsafe.idbounds import (
     BoundModel,
     SmoothnessParams,
@@ -67,7 +67,7 @@ def oracle_for(dataset, mean_fn=None, prop_fn=None):
         def prop_fn(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
             return np.full((x.size, 2), 0.5)
-    return OracleNuisances(mean_fn, prop_fn, n_records=len(dataset))
+    return oracle_nuisances(dataset, mean_fn, prop_fn)
 
 
 class TestPseudoOutcomes:
@@ -101,7 +101,7 @@ class TestPseudoOutcomes:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             return np.full((x.size, 2), 0.5)
 
-        nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+        nus = oracle_nuisances(ds, mean_fn, prop_fn)
         xs, phis = difference_pseudo_outcomes(ds, nus, 1, 2, 1)
         i = int(np.flatnonzero(xs == 6.0)[0])
         assert phis[i] == pytest.approx(5.0)

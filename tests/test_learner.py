@@ -12,7 +12,7 @@ from rdsafe.core import (
     UtilityConfig,
     baseline_policy,
 )
-from rdsafe.estimator import OracleNuisances, compute_dr_scores, value_breakdown
+from rdsafe.estimator import compute_dr_scores, oracle_nuisances, value_breakdown
 from rdsafe.idbounds import BoundModel, SmoothnessParams
 from rdsafe.learner import (
     LearnerConfig,
@@ -59,7 +59,7 @@ class TestCandidateGrid:
 def toy_problem(seed):
     ds, mean_fn, prop_fn = random_toy(seed)
     design = ds.design
-    nus = OracleNuisances(mean_fn, prop_fn, n_records=len(ds))
+    nus = oracle_nuisances(ds, mean_fn, prop_fn)
     scores = compute_dr_scores(ds, nus)
     boundary, lam, _ = random_bounds(design, seed + 500)
     bounds = BoundModel(design, boundary, SmoothnessParams(lam=lam))

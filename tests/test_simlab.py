@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from rdsafe import simlab
 from rdsafe.core import ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
     RegretReport,
@@ -80,6 +81,17 @@ class TestTrueValue:
             epi = float(np.mean(p.indicator(x, g)))
             assert vc == pytest.approx(v0 - c * epi, abs=1e-12)
 
+    def test_cutoff_order_of_labels_does_not_matter(self):
+        # label 1 holding the higher cutoff makes label 2 rank 1; a fixed
+        # per-label policy must keep its value on the same draws
+        spec = ScenarioSpec(scenario="B", n=10)
+        swapped = ScenarioSpec(scenario="B", n=10, cutoffs={1: -571.0, 2: -850.0})
+        draws = _draw_population(spec, 200_000, seed=0)
+        cutoffs = {1: -700.0, 2: -600.0}
+        want = true_value(ThresholdPolicy(cutoffs, spec.design), spec, draws=draws)
+        got = true_value(ThresholdPolicy(cutoffs, swapped.design), swapped, draws=draws)
+        assert got == want
+
     def test_scenario_a_baseline_near_optimal(self):
         spec = ScenarioSpec(scenario="A", n=10)
         draws = _draw_population(spec, 400_000, seed=6)
@@ -118,6 +130,14 @@ class TestOraclePolicy:
         step = (850 - 571) / 99
         assert abs(orc.cutoffs[2] - (-571.0)) > step
 
+    def test_cutoff_order_of_labels_does_not_matter(self):
+        spec = ScenarioSpec(scenario="B", n=10)
+        swapped = ScenarioSpec(scenario="B", n=10, cutoffs={1: -571.0, 2: -850.0})
+        want = oracle_policy(spec, mc_size=200_000, seed=0).cutoffs
+        got = oracle_policy(swapped, mc_size=200_000, seed=0).cutoffs
+        assert got == want
+        assert want[1] == -571.0 and want[2] == pytest.approx(-667.74, abs=0.01)
+
     def test_scenario_a_group2_near_baseline_on_coarse_grid(self):
         # the scenario coefficients put the true optimum ~13 units below the
         # baseline cutoff; a coarse grid cannot resolve the difference
@@ -153,6 +173,15 @@ class TestRegretExperiment:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             regret_experiment(["A"], [100], [1.0], reps=1, seed=0)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only estimation failures count as failed replications
+        def broken(data, config):
+            raise TypeError("bug inside a replication")
+
+        monkeypatch.setattr(simlab, "learn_policy", broken)
+        with pytest.raises(TypeError, match="bug inside"):
+            regret_experiment(["A"], [400], [1.0], reps=2, seed=0, mc_size=1_000)
 
     def test_csv_schema(self):
         report = RegretReport(cells=[], seed=5)

@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdsafe.core import Dataset, EstimationError, Record, StudyDesign
+from rdsafe.estimator import make_folds
+from rdsafe.simlab import ScenarioSpec, generate
 from rdsafe.smooth import (
     CurveFit,
     LocalPolyConfig,
+    _fit_propensity_arrays,
     auto_bandwidth,
     boundary_limit,
     fit_group_propensity,
@@ -157,8 +162,6 @@ class TestPropensity:
         assert (p >= 0.01 - 1e-12).all() and (p <= 0.99 + 1e-12).all()
 
     def test_clamp_honored_on_separated_data(self):
-        import warnings
-
         ds = two_group_dataset(sep=True)
         with warnings.catch_warnings():
             # divergent coefficients may or may not trip the convergence warning
@@ -173,6 +176,17 @@ class TestPropensity:
         model = fit_group_propensity(ds)
         path = np.asarray(model.loglik_path)
         assert (np.diff(path) >= -1e-9).all()
+        assert model.converged
+
+    def test_converged_when_no_step_can_improve(self):
+        # the acceptance regret data for n=4000, replication 6, fold 1: after
+        # a last gain of 1e-5 no damped step raises the log-likelihood within
+        # rounding, though the Newton decrement is about 1e-13
+        ds = generate(ScenarioSpec(scenario="A", n=4000), seed=2957271786)
+        train = make_folds(ds, 5, seed=6).fold_of != 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = _fit_propensity_arrays(ds.x[train], ds.rank[train], 2)
         assert model.converged
 
     def test_recovers_logistic_truth(self):
