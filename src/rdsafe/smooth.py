@@ -100,6 +100,18 @@ def _local_solve(xtr, ytr, q, degree, kernel, h):
     )
 
 
+def _window_sum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a (window, queries) array, each added in row order.
+
+    Zero-weight rows then add exact zeros, so a query's normal equations do
+    not depend on which other queries share its window. A single column is
+    accumulated explicitly: reducing it directly would sum it pairwise.
+    """
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
 def _local_batch(xtr, ytr, queries, degree, kernel, h, chunk=256):
     """Vectorized local fits; falls back to per-query widening where needed.
 
@@ -121,19 +133,25 @@ def _local_batch(xtr, ytr, queries, degree, kernel, h, chunk=256):
         yw = ytr[lo:hi]
         if xw.size == 0:
             for i in range(q.size):
-                values[start + i], derivs[start + i] = _local_solve(
+                values[order[start + i]], derivs[order[start + i]] = _local_solve(
                     xtr, ytr, float(q[i]), degree, kernel, h
                 )
             continue
-        u = (xw[None, :] - q[:, None]) / h
+        # window points run down axis 0, one query per column
+        u = (xw[:, None] - q[None, :]) / h
         wts = _kernel_weights(u, kernel)
-        counts = (wts > 0).sum(axis=1)
-        cols = [np.ones_like(u), u]
+        counts = (wts > 0).sum(axis=0)
+        powers = [u]
         for _ in range(2, p):
-            cols.append(cols[-1] * u)
-        basis = np.stack(cols, axis=-1)
-        gram = np.einsum("qpi,qp,qpj->qij", basis, wts, basis)
-        rhs = np.einsum("qpi,qp,p->qi", basis, wts, yw)
+            powers.append(powers[-1] * u)
+        weighted = [wts] + [b * wts for b in powers]  # basis_i * w
+        gram = np.empty((q.size, p, p))
+        rhs = np.empty((q.size, p))
+        for i, bw in enumerate(weighted):
+            rhs[:, i] = _window_sum(bw * yw[:, None])
+            gram[:, i, 0] = _window_sum(bw)
+            for j, b in enumerate(powers, start=1):
+                gram[:, i, j] = _window_sum(bw * b)
         ok = counts >= degree + 2
         beta = np.full((q.size, p), np.nan)
         if ok.any():

@@ -66,6 +66,22 @@ class TestLocalPoly:
         fit = fit_local_poly(poly_points([0.0, 1.0]))
         assert isinstance(fit.value(1.0), float)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_batch_equals_single_queries_bitwise(self, degree):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-3.0, 3.0, 3000)
+        fit = CurveFit(x, np.sin(x) + rng.normal(0.0, 0.5, x.size), LocalPolyConfig(degree=degree))
+        q = rng.uniform(-3.0, 3.0, 600)
+        batch = fit.values(q)
+        assert [float(v) for v in batch] == [fit.value(v) for v in q]
+        assert fit.values(q[::-1]).tolist() == batch[::-1].tolist()
+
+    def test_unsorted_queries_beyond_the_data_keep_their_order(self):
+        x = np.linspace(0.0, 10.0, 50)
+        fit = CurveFit(x, 2.0 * x, LocalPolyConfig(degree=1, bandwidth=1.0))
+        assert np.allclose(fit.values([12.5, 11.2]), [fit.value(12.5), fit.value(11.2)])
+        assert np.allclose(fit.values([12.5, 11.2]), [25.0, 22.4])
+
     @settings(max_examples=20, deadline=None)
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5), seed=st.integers(0, 1000))
     def test_affine_reproduction_property(self, a, b, seed):
