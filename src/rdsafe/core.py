@@ -262,15 +262,6 @@ def baseline_policy(design: StudyDesign) -> ThresholdPolicy:
 _COLUMNS = ("x", "g", "w", "y")
 
 
-def _text_stream(source):
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary file-like
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
-
-
 def _match_group(raw: str, design: StudyDesign, row: int):
     if raw in design.cutoffs:
         return raw
@@ -292,15 +283,25 @@ def load_dataset(
     """Parse delimiter-separated text with header columns x, g, w, y.
 
     `source` is a path, bytes, or a text or binary stream; a file opened from a
-    path is closed before returning. Column names are case-insensitive and may
-    appear in any order. Every row is checked against the sharp assignment
-    rule of the design; the first offending row is reported.
+    path is closed before returning, and a caller's stream is left open.
+    Column names are case-insensitive and may appear in any order. Every row
+    is checked against the sharp assignment rule of the design; the first
+    offending row is reported.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as stream:
             records = _read_records(stream, design, delimiter)
+    elif isinstance(source, bytes):
+        records = _read_records(io.StringIO(source.decode("utf-8")), design, delimiter)
+    elif isinstance(source, io.TextIOBase):
+        records = _read_records(source, design, delimiter)
     else:
-        records = _read_records(_text_stream(source), design, delimiter)
+        # binary file-like: a dropped wrapper would close the stream it wraps
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            records = _read_records(stream, design, delimiter)
+        finally:
+            stream.detach()
     return Dataset(records, design, min_group_size=min_group_size)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,8 @@ _CUTOFFS = {1: -850.0, 2: -571.0}
 _SIGMA_EPS = 10.0
 _NOISE_SD = 0.3
 _X_LO, _X_HI = -1000.0, -1.0
+# draws per block when the arm means are built, which bounds the temporaries
+_MEAN_CHUNK = 32_768
 
 _GAMMA1 = np.array([0.96, 5.31e-4, 1.10e-6, 1.15e-9])
 _GAMMA0_A = np.array([-1.99, -1.00e-2, -1.20e-5, -4.59e-9])
@@ -97,46 +100,84 @@ def generate(spec: ScenarioSpec, seed: int) -> Dataset:
     return Dataset(records, spec.design)
 
 
-def _draw_population(spec: ScenarioSpec, mc_size: int, seed: int):
-    """Shared (X, G) draws for value evaluation; outcome noise integrates out."""
+class Population(NamedTuple):
+    """Monte Carlo (X, G) draws of one scenario with each draw's two arm means.
+
+    `treated[i]` and `control[i]` are `mean_outcome(1, x[i], g[i])` and
+    `mean_outcome(0, x[i], g[i])`; outcome noise integrates out. The draws and
+    their means depend on the scenario and `sigma_eps`, not on n or the cutoffs.
+    """
+
+    scenario: str
+    sigma_eps: float
+    x: np.ndarray
+    g: np.ndarray
+    treated: np.ndarray
+    control: np.ndarray
+
+
+def _draw_population(spec: ScenarioSpec, mc_size: int, seed: int) -> Population:
+    """Shared (X, G) draws for value evaluation, with both arms' mean outcomes."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(_X_LO, _X_HI, size=mc_size)
     eps = rng.normal(0.0, spec.sigma_eps, size=mc_size)
     g = np.where(spec.group_prob_latent(x) + eps > 0, 2, 1)
-    return x, g
+    treated = np.empty(mc_size)
+    control = np.empty(mc_size)
+    for start in range(0, mc_size, _MEAN_CHUNK):
+        block = slice(start, start + _MEAN_CHUNK)
+        treated[block] = spec.mean_outcome(1, x[block], g[block])
+        control[block] = spec.mean_outcome(0, x[block], g[block])
+    return Population(spec.scenario, spec.sigma_eps, x, g, treated, control)
+
+
+def _population_for(spec: ScenarioSpec, draws, mc_size: int, seed: int) -> Population:
+    if draws is None:
+        return _draw_population(spec, mc_size, seed)
+    if (draws.scenario, draws.sigma_eps) != (spec.scenario, spec.sigma_eps):
+        raise ValueError(
+            f"draws were made for scenario {draws.scenario!r} (sigma_eps={draws.sigma_eps}), "
+            f"not {spec.scenario!r} (sigma_eps={spec.sigma_eps})")
+    return draws
 
 
 def true_value(policy: ThresholdPolicy, spec: ScenarioSpec,
                mc_size: int = 1_000_000, seed: int = 0,
-               cost: float = 0.0, draws=None) -> float:
+               cost: float = 0.0, draws: Population | None = None) -> float:
     """Ground-truth value V(pi) = E[m(pi(X,G), X, G)] - cost * E[pi(X,G)].
 
-    Pass precomputed `draws` = (x, g) for bit-exact comparisons across
-    policies evaluated on the same population sample.
+    `draws` is a `Population` from `_draw_population` for this spec's scenario;
+    passing one values every policy on the same sample, bit-exactly, by
+    selecting each draw's precomputed arm mean. Without it, `mc_size` draws
+    are made from `seed`. Draws made for another scenario raise `ValueError`.
     """
-    x, g = draws if draws is not None else _draw_population(spec, mc_size, seed)
+    pop = _population_for(spec, draws, mc_size, seed)
     # draws carry the labels 1 and 2, which need not be the cutoff ranks
-    pi = (x >= np.where(g == 1, policy.cutoffs[1], policy.cutoffs[2])).astype(int)
-    m = spec.mean_outcome(pi, x, g)
+    pi = pop.x >= np.where(pop.g == 1, policy.cutoffs[1], policy.cutoffs[2])
+    m = np.where(pi, pop.treated, pop.control)
     return float(np.mean(m) - cost * np.mean(pi))
 
 
 def oracle_policy(spec: ScenarioSpec, grid_size: int = 200,
                   mc_size: int = 1_000_000, seed: int = 0,
-                  cost: float = 0.0) -> ThresholdPolicy:
-    """Grid argmax of the true value, searched per group on shared draws."""
+                  cost: float = 0.0, draws: Population | None = None) -> ThresholdPolicy:
+    """Grid argmax of the true value, searched per group on shared draws.
+
+    `draws` is a `Population` as in `true_value`; without it, `mc_size` draws
+    are made from `seed`. Draws made for another scenario raise `ValueError`.
+    """
     design = spec.design
-    x, g = _draw_population(spec, mc_size, seed)
+    pop = _population_for(spec, draws, mc_size, seed)
     grid = np.linspace(design.c_min, design.c_max, grid_size)
     cutoffs = {}
     for rank in range(1, design.q + 1):
         label = design.label_of(rank)
-        xo = np.sort(x[g == label])
+        own = np.flatnonzero(pop.g == label)
+        own = own[np.argsort(pop.x[own], kind="stable")]
+        xo = pop.x[own]
         # value contribution of this group at cutoff c, via suffix sums of the
         # per-draw treat-minus-control gain
-        m1 = spec.mean_outcome(np.ones_like(xo), xo, np.full(xo.shape, label)) - cost
-        m0 = spec.mean_outcome(np.zeros_like(xo), xo, np.full(xo.shape, label))
-        diff = m1 - m0
+        diff = (pop.treated[own] - cost) - pop.control[own]
         suffix = np.concatenate([np.cumsum(diff[::-1])[::-1], [0.0]])
         pos = np.searchsorted(xo, grid, side="left")
         vals = suffix[pos]
@@ -205,17 +246,14 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
         raise ValueError(f"need at least 2 replications, got {reps}")
     cells = []
     for scenario in scenarios:
-        oracle_cache = {}
+        # the ground truth depends on the scenario, not on n or M
+        truth = ScenarioSpec(scenario=scenario, n=1)
+        draws = _draw_population(truth, mc_size, seed)
+        v_base = true_value(baseline_policy(truth.design), truth, draws=draws)
+        v_star = true_value(oracle_policy(truth, draws=draws), truth, draws=draws)
         for n in n_list:
             for m_index, m in enumerate(multipliers):
                 spec = ScenarioSpec(scenario=scenario, n=n)
-                if scenario not in oracle_cache:
-                    oracle_cache[scenario] = oracle_policy(spec, mc_size=mc_size, seed=seed)
-                oracle = oracle_cache[scenario]
-                baseline = baseline_policy(spec.design)
-                draws = _draw_population(spec, mc_size, seed)
-                v_base = true_value(baseline, spec, draws=draws)
-                v_star = true_value(oracle, spec, draws=draws)
                 reg_base, reg_star = [], []
                 failures = 0
                 for rep in range(reps):

@@ -133,3 +133,14 @@ def random_bounds(design, seed):
         lam[(w, g, gp)] = float(rng.uniform(0, 0.5))
         anchors[(w, g, gp)] = design.cutoff_of_rank(anchor_rank)
     return boundary, lam, anchors
+
+
+def direct_true_value(policy, spec, x, g, cost=0.0):
+    """Ground-truth value from `spec.mean_outcome` evaluated at every draw.
+
+    Each draw's treatment follows its own label's cutoff. `simlab.true_value`,
+    which selects precomputed arm means instead, must equal this bit for bit.
+    """
+    pi = (x >= np.where(g == 1, policy.cutoffs[1], policy.cutoffs[2])).astype(int)
+    m = spec.mean_outcome(pi, x, g)
+    return float(np.mean(m) - cost * np.mean(pi))

@@ -1,3 +1,4 @@
+import gc
 import io
 
 import numpy as np
@@ -182,6 +183,13 @@ class TestLoadAndSerialize:
             load_dataset(str(bad), d)
         assert len(handles) == 2
         assert all(fh.closed for fh in handles)
+
+    def test_binary_stream_left_open(self):
+        d = StudyDesign({1: 0.0, 2: 10.0})
+        buf = io.BytesIO(serialize_dataset(Dataset(make_records(d), d)).encode("utf-8"))
+        assert len(load_dataset(buf, d)) == 80
+        gc.collect()
+        assert not buf.closed
 
     def test_empty_input(self):
         d = StudyDesign({1: 0.0, 2: 10.0})

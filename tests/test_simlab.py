@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from oracles import direct_true_value
 from rdsafe import simlab
 from rdsafe.core import ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
@@ -77,8 +78,7 @@ class TestTrueValue:
             v0 = true_value(p, spec, draws=draws, cost=0.0)
             c = float(rng.uniform(0, 1))
             vc = true_value(p, spec, draws=draws, cost=c)
-            x, g = draws
-            epi = float(np.mean(p.indicator(x, g)))
+            epi = float(np.mean(p.indicator(draws.x, draws.g)))
             assert vc == pytest.approx(v0 - c * epi, abs=1e-12)
 
     def test_cutoff_order_of_labels_does_not_matter(self):
@@ -91,6 +91,28 @@ class TestTrueValue:
         want = true_value(ThresholdPolicy(cutoffs, spec.design), spec, draws=draws)
         got = true_value(ThresholdPolicy(cutoffs, swapped.design), swapped, draws=draws)
         assert got == want
+
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    @pytest.mark.parametrize("cutoffs", [{1: -850.0, 2: -571.0}, {1: -571.0, 2: -850.0}])
+    @pytest.mark.parametrize("mc_size", [
+        1, simlab._MEAN_CHUNK - 1, simlab._MEAN_CHUNK + 1, 2 * simlab._MEAN_CHUNK + 4321])
+    def test_equals_direct_formula_bitwise(self, scenario, cutoffs, mc_size):
+        spec = ScenarioSpec(scenario=scenario, n=10, cutoffs=cutoffs)
+        draws = _draw_population(spec, mc_size, seed=mc_size)
+        rng = np.random.default_rng(mc_size)
+        for cost in (0.0, 0.37, 1.0):
+            p = ThresholdPolicy({1: float(rng.uniform(-850, -571)),
+                                 2: float(rng.uniform(-850, -571))}, spec.design)
+            want = direct_true_value(p, spec, draws.x, draws.g, cost=cost)
+            assert true_value(p, spec, draws=draws, cost=cost) == want
+            assert true_value(p, spec, mc_size=mc_size, seed=mc_size, cost=cost) == want
+
+    @pytest.mark.parametrize("spec", [ScenarioSpec(scenario="B", n=10),
+                                      ScenarioSpec(scenario="A", n=10, sigma_eps=5.0)])
+    def test_draws_of_another_scenario_rejected(self, spec):
+        draws = _draw_population(ScenarioSpec(scenario="A", n=10), 1_000, seed=0)
+        with pytest.raises(ValueError, match="draws were made for scenario 'A'"):
+            true_value(baseline_policy(spec.design), spec, draws=draws)
 
     def test_scenario_a_baseline_near_optimal(self):
         spec = ScenarioSpec(scenario="A", n=10)
@@ -137,6 +159,20 @@ class TestOraclePolicy:
         got = oracle_policy(swapped, mc_size=200_000, seed=0).cutoffs
         assert got == want
         assert want[1] == -571.0 and want[2] == pytest.approx(-667.74, abs=0.01)
+
+    @pytest.mark.parametrize("cutoffs", [{1: -850.0, 2: -571.0}, {1: -571.0, 2: -850.0}])
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    @pytest.mark.parametrize("cost", [0.0, 0.3])
+    def test_given_draws_match_own_draws(self, scenario, cutoffs, cost):
+        spec = ScenarioSpec(scenario=scenario, n=10, cutoffs=cutoffs)
+        draws = _draw_population(spec, 100_000, seed=3)
+        want = oracle_policy(spec, mc_size=100_000, seed=3, cost=cost).cutoffs
+        assert oracle_policy(spec, draws=draws, cost=cost).cutoffs == want
+
+    def test_draws_of_another_scenario_rejected(self):
+        draws = _draw_population(ScenarioSpec(scenario="A", n=10), 1_000, seed=0)
+        with pytest.raises(ValueError, match="scenario 'A'"):
+            oracle_policy(ScenarioSpec(scenario="B", n=10), draws=draws)
 
     def test_scenario_a_group2_near_baseline_on_coarse_grid(self):
         # the scenario coefficients put the true optimum ~13 units below the
