@@ -105,7 +105,6 @@ def fit_crossfit_nuisances(
     x = dataset.x
     table = {"above": np.full((n, q), np.nan), "below": np.full((n, q), np.nan)}
     propensity = np.empty((n, q))
-    cutoff_gap = np.searchsorted(design.sorted_cutoffs, x, side="right")
     for k in range(folds.n_folds):
         held = folds.fold_of == k
         train = ~held
@@ -120,11 +119,7 @@ def fit_crossfit_nuisances(
                 sel = in_group & ((x >= cut) if side == "above" else (x < cut))
                 try:
                     fit = CurveFit(x[sel], dataset.y[sel], mean_config)
-                    # the smoother's training window spans a whole batch of
-                    # queries; one batch per gap between cutoffs keeps it local
-                    for gap in np.unique(cutoff_gap[rows]):
-                        part = rows[cutoff_gap[rows] == gap]
-                        table[side][part, rank - 1] = fit.values(x[part])
+                    table[side][rows, rank - 1] = fit.values(x[rows])
                 except EstimationError as exc:
                     raise EstimationError(
                         f"fold {k}, group {design.label_of(rank)!r}, conditional mean "

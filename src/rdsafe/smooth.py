@@ -3,12 +3,22 @@
 Kernel-weighted local polynomial regression (values and first derivatives,
 including one-sided boundary limits) and a multinomial-logistic group
 membership model on a polynomial basis of the standardized running variable.
+
+Local fits are evaluated from running sums (the updating idea of Seifert,
+Brockmann, Engel & Gasser 1994 and Fan & Marron 1994). The kernels are
+polynomials in x on either side of the query, so a query's normal equations
+follow from sums of t^k and y t^k over its window, t = (x - centre) / h. The
+sums are kept per frame of three blocks one bandwidth wide, measured from the
+frame's own centre, so they stay small and precise wherever x lies (x near
+-1000 would make raw fourth powers near 1e12). A fit costs O(n) for the sums
+and O(log n) per query; windows the sums cannot serve are solved one by one
+by `_local_solve`.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -100,81 +110,148 @@ def _local_solve(xtr, ytr, q, degree, kernel, h):
     )
 
 
-def _window_sum(terms: np.ndarray) -> np.ndarray:
-    """Column sums of a (window, queries) array, each added in row order.
+# Powers of t that a kernel's weight K(t + s) adds on either side of the query:
+# the uniform weight is constant, the triangular linear, the Epanechnikov quadratic.
+_KERNEL_ORDER = {"uniform": 0, "triangular": 1, "epanechnikov": 2}
 
-    Zero-weight rows then add exact zeros, so a query's normal equations do
-    not depend on which other queries share its window. A single column is
-    accumulated explicitly: reducing it directly would sum it pairwise.
+# Relative half-width of the bands around q - h and q + h whose points are
+# tested with the dense kernel's own arithmetic: 2^-50 (max |q| + h) is at
+# least twice what rounding in x - q, in the division by h and in the band
+# edges can move a point.
+_EDGE_MARGIN = 2.0 ** -50
+
+
+class _MomentTable(NamedTuple):
+    """Running sums of t^k and y t^k over frames of three blocks.
+
+    Block b holds the training points with floor((x - x[0]) / h) = b. Frame b
+    lists the points of blocks b - 1, b and b + 1, with t = (x - centre) / h
+    measured from the centre of block b, so |t| <= 1.5 wherever x lies. The
+    frames follow each other in one table whose first row is zero; the sums
+    over the points i..j-1 of a frame are `sums[:, :, base + j] - sums[:, :,
+    base + i]` with that frame's `base`. Each running sum is kept with the
+    exact rounding error it has accumulated, so a window's sums are accurate
+    to their own size, not to the size of everything summed before them.
     """
-    if terms.shape[1] == 1:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
+
+    frames: np.ndarray  # sorted block numbers of the frames held
+    base: np.ndarray    # per frame: row of the sums before point i is base + i
+    centre: np.ndarray  # per frame: x at the centre of its block
+    sums: np.ndarray    # (2, columns, rows): running sums, then their errors,
+                        # of t^0..t^top and y t^0..y t^ytop
 
 
-def _local_batch(xtr, ytr, queries, degree, kernel, h, chunk=256):
-    """Vectorized local fits; falls back to per-query widening where needed.
+def _moment_table(x, y, h, block, frames, top, ytop) -> _MomentTable:
+    first = np.searchsorted(block, frames - 1)
+    size = np.searchsorted(block, frames + 1, side="right") - first
+    base = np.cumsum(size) - size - first
+    centre = x[0] + (frames + 0.5) * h
+    point = np.arange(size.sum()) - np.repeat(base, size)
+    terms = np.zeros((top + ytop + 2, point.size + 1))
+    terms[0, 1:] = 1.0
+    terms[1 : top + 1, 1:] = (x[point] - np.repeat(centre, size)) / h
+    np.cumprod(terms[: top + 1], axis=0, out=terms[: top + 1])
+    np.multiply(terms[: ytop + 1, 1:], y[point], out=terms[top + 1 :, 1:])
+    sums = np.empty((2,) + terms.shape)
+    total = np.cumsum(terms, axis=1, out=sums[0])
+    # the exact rounding error of each addition (Knuth's two-sum), accumulated
+    step = total[:, 1:] - total[:, :-1]
+    sums[1, :, 0] = 0.0
+    sums[1, :, 1:] = (total[:, :-1] - (total[:, 1:] - step)) + (terms[:, 1:] - step)
+    np.cumsum(sums[1], axis=1, out=sums[1])
+    return _MomentTable(frames, base, centre, sums)
 
-    Queries are processed in sorted chunks so each chunk only sees the
-    training window its kernels can reach (support is |x - q| <= h, and the
-    widening fallback handles the rare windows that come up short).
+
+def _band_count(x, q, h, start, stop, test):
+    """Per query, the points of x[start:stop] whose (x - q) / h pass `test`."""
+    rows = np.flatnonzero(stop > start)
+    size = stop[rows] - start[rows]
+    owner = np.repeat(rows, size)
+    point = np.arange(size.sum()) + np.repeat(start[rows] - (np.cumsum(size) - size), size)
+    inside = test((x[point] - q[owner]) / h)
+    return np.bincount(owner, weights=inside, minlength=q.size).astype(np.intp)
+
+
+def _windows(x, q, h, kernel):
+    """Rows lo, hi and split: the points with kernel weight > 0 are lo..hi-1.
+
+    A point counts exactly when `_kernel_weights((x - q) / h, kernel) > 0`:
+    |u| < 1, or |u| <= 1 for the uniform kernel. Points outside the narrow
+    bands around q - h and q + h are placed by comparing x with the band
+    edges; points inside a band are tested with the kernel's own arithmetic.
+    split is the first point with x >= q; lo <= split <= hi, since u < 0 < 1
+    left of q and u >= 0 > -1 from q on.
     """
-    nq = queries.size
-    values = np.empty(nq)
-    derivs = np.empty(nq)
+    m = _EDGE_MARGIN * (float(np.abs(q).max(initial=0.0)) + h)
+    cut = np.searchsorted(x, q + np.array([[-h + m], [h - m], [0.0], [-h - m], [h + m]]))
+    ends = cut[:3]
+    if (cut[3:] != cut[:2]).any():
+        if kernel == "uniform":
+            ends[0] -= _band_count(x, q, h, cut[3], cut[0], lambda u: u >= -1.0)
+            ends[1] += _band_count(x, q, h, cut[1], cut[4], lambda u: u <= 1.0)
+        else:
+            ends[0] -= _band_count(x, q, h, cut[3], cut[0], lambda u: u > -1.0)
+            ends[1] += _band_count(x, q, h, cut[1], cut[4], lambda u: u < 1.0)
+    return ends
+
+
+def _moment_solve(table: _MomentTable, q, ends, frame, degree, kernel, h):
+    """Local fits from a frame's sums between the window ends of each query.
+
+    `ends` holds the rows lo, hi (and split, for the triangular kernel) of
+    each query's window. The kernel-weighted sums of t^k follow from the
+    plain ones, since K(t + s), with s = (centre - q) / h, is a polynomial in
+    t on either side of the query. The normal equations are solved in powers
+    of t and the fitted polynomial is shifted binomially to the query,
+    t = -s: a change of basis with unit diagonal, so det G and G[0, 0] are
+    those of the equations in u = (x - q) / h. The kernel weight is dropped
+    by a constant factor, which changes neither the solution nor the
+    determinant test. Queries that fail the determinant test get NaN.
+    """
     p = degree + 1
-    order = np.argsort(queries, kind="stable")
-    sq = queries[order]
-    for start in range(0, nq, chunk):
-        q = sq[start : start + chunk]
-        lo = np.searchsorted(xtr, q[0] - h, side="left")
-        hi = np.searchsorted(xtr, q[-1] + h, side="right")
-        xw = xtr[lo:hi]
-        yw = ytr[lo:hi]
-        if xw.size == 0:
-            for i in range(q.size):
-                values[order[start + i]], derivs[order[start + i]] = _local_solve(
-                    xtr, ytr, float(q[i]), degree, kernel, h
-                )
-            continue
-        # window points run down axis 0, one query per column
-        u = (xw[:, None] - q[None, :]) / h
-        wts = _kernel_weights(u, kernel)
-        counts = (wts > 0).sum(axis=0)
-        powers = [u]
-        for _ in range(2, p):
-            powers.append(powers[-1] * u)
-        weighted = [wts] + [b * wts for b in powers]  # basis_i * w
-        gram = np.empty((q.size, p, p))
-        rhs = np.empty((q.size, p))
-        for i, bw in enumerate(weighted):
-            rhs[:, i] = _window_sum(bw * yw[:, None])
-            gram[:, i, 0] = _window_sum(bw)
-            for j, b in enumerate(powers, start=1):
-                gram[:, i, j] = _window_sum(bw * b)
-        ok = counts >= degree + 2
-        beta = np.full((q.size, p), np.nan)
-        if ok.any():
-            with np.errstate(all="ignore"):
-                try:
-                    sol = np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    sol = None
-            if sol is not None:
-                beta[ok] = sol
-        bad = ~np.isfinite(beta).all(axis=1)
-        # near-singular solves can sneak through np.linalg.solve; re-check magnitude
-        with np.errstate(all="ignore"):
-            cond_bad = np.abs(np.linalg.det(gram)) < 1e-12 * np.abs(gram[:, 0, 0]) ** p
-        bad |= cond_bad
-        for i in np.flatnonzero(bad):
-            values[order[start + i]], derivs[order[start + i]] = _local_solve(
-                xtr, ytr, float(q[i]), degree, kernel, h
-            )
-        good = np.flatnonzero(~bad)
-        values[order[start + good]] = beta[~bad, 0]
-        derivs[order[start + good]] = beta[~bad, 1] / h
-    return values, derivs
+    top = 2 * degree + _KERNEL_ORDER[kernel]
+    rows = table.sums[:, :, ends + table.base[frame]]  # (sum or error, column, end, query)
+    diff = rows[:, :, 1:] - rows[:, :, :1]
+    sums = diff[0] + diff[1]
+    d = sums[:, 0]
+    with np.errstate(all="ignore"):
+        s = (table.centre[frame] - q) / h
+        # kernel-weighted sums of t^k (first rows) and y t^k (from row top + 1)
+        if kernel == "uniform":
+            w = d
+        elif kernel == "triangular":
+            # 1 - |u| = (1 - s) - t, plus 2 (s + t) where u < 0
+            left = sums[:, 1]
+            w = (1.0 - s) * d[:-1] - d[1:] + 2.0 * (s * left[:-1] + left[1:])
+        else:
+            w = (1.0 - s * s) * d[:-2] - 2.0 * s * d[1:-1] - d[2:]
+        # G c = r with G[i, j] = m[i + j], solved through G = L D L' (positive
+        # definite once the window holds p distinct points)
+        m, r = w[: 2 * degree + 1], w[top + 1 : top + 1 + p]
+        l1 = m[1] / m[0]
+        d1 = m[2] - m[1] * l1
+        z1 = r[1] - l1 * r[0]
+        if p == 2:
+            det = m[0] * d1
+            slope = z1 / d1
+            # the line's value at t = -s
+            value = r[0] / m[0] - (l1 + s) * slope
+        else:
+            l2 = m[2] / m[0]
+            l21 = (m[3] - m[2] * l1) / d1
+            d2 = m[4] - m[2] * l2 - l21 * l21 * d1
+            det = m[0] * d1 * d2
+            curve = (r[2] - l2 * r[0] - l21 * z1) / d2
+            slope = z1 / d1 - l21 * curve
+            value = r[0] / m[0] - l1 * slope - l2 * curve
+            # the parabola and its slope at t = -s
+            value = value - s * (slope - s * curve)
+            slope = slope - 2.0 * s * curve
+        g00 = np.abs(m[0])
+        good = np.abs(det) >= 1e-12 * g00 * g00 * (g00 if p == 3 else 1.0)
+        value = np.where(good, value, np.nan)
+        slope = np.where(good, slope, np.nan)
+    return value, slope / h
 
 
 class CurveFit:
@@ -182,7 +259,8 @@ class CurveFit:
 
     Stores the training points; each query solves the weighted least-squares
     polynomial centered there. `values` returns the intercept, `derivatives`
-    the linear coefficient.
+    the linear coefficient. The first evaluation builds the running sums of
+    the frames its queries need (`_MomentTable`); later queries reuse them.
     """
 
     def __init__(self, x, y, config: LocalPolyConfig | None = None):
@@ -210,10 +288,52 @@ class CurveFit:
         self.config = config
         self.bandwidth = h
         self.support = (float(self.x[0]), float(self.x[-1]))
+        # block numbers of the points, and running sums built on first use
+        self._block = np.minimum((self.x - self.x[0]) / h, 2.0 ** 62).astype(np.int64)
+        self._moments = None
 
     def _eval(self, queries):
-        q = np.atleast_1d(np.asarray(queries, dtype=float))
-        return _local_batch(self.x, self.y, q, self.config.degree, self.config.kernel, self.bandwidth)
+        """Values and derivatives at the queries, each independent of the others.
+
+        A query falls back to `_local_solve` if its window has fewer than
+        degree + 2 points, spans more than three blocks, or fails the
+        determinant test.
+        """
+        queries = np.atleast_1d(np.asarray(queries, dtype=float))
+        # in sorted order the binary searches and table reads run faster
+        order = np.argsort(queries)
+        q = queries[order]
+        x, h = self.x, self.bandwidth
+        degree, kernel = self.config.degree, self.config.kernel
+        block = self._block
+        ends = _windows(x, q, h, kernel)
+        lo, hi = ends[0], ends[1]
+        b_lo, b_mid, b_hi = block[np.minimum(np.stack([lo, (lo + hi) // 2, hi - 1]), x.size - 1)]
+        ok = (hi - lo >= degree + 2) & (b_hi - b_lo <= 2)
+        # the frame of the block holding the window's middle point, moved
+        # inwards when the window reaches into both neighbouring blocks
+        frame = np.minimum(np.maximum(b_mid, b_hi - 1), b_lo + 1)
+        values = np.full(q.size, np.nan)
+        derivs = np.full(q.size, np.nan)
+        if ok.any():
+            sel = slice(None) if ok.all() else np.flatnonzero(ok)
+            frame = frame[sel]
+            table = self._moments
+            if table is None or (table.frames[np.minimum(np.searchsorted(table.frames, frame),
+                                                         table.frames.size - 1)] != frame).any():
+                held = frame if table is None else np.concatenate([table.frames, frame])
+                extra = _KERNEL_ORDER[kernel]
+                table = self._moments = _moment_table(x, self.y, h, block, np.unique(held),
+                                                      2 * degree + extra, degree + extra)
+            rows = ends[:, sel] if kernel == "triangular" else ends[:2, sel]
+            values[sel], derivs[sel] = _moment_solve(table, q[sel], rows,
+                                                     np.searchsorted(table.frames, frame),
+                                                     degree, kernel, h)
+        for i in np.flatnonzero(~(np.isfinite(values) & np.isfinite(derivs))):
+            values[i], derivs[i] = _local_solve(x, self.y, float(q[i]), degree, kernel, h)
+        fits = np.empty((2, q.size))
+        fits[:, order] = values, derivs
+        return fits[0], fits[1]
 
     def values(self, queries) -> np.ndarray:
         vals, _ = self._eval(queries)

@@ -144,3 +144,81 @@ def direct_true_value(policy, spec, x, g, cost=0.0):
     pi = (x >= np.where(g == 1, policy.cutoffs[1], policy.cutoffs[2])).astype(int)
     m = spec.mean_outcome(pi, x, g)
     return float(np.mean(m) - cost * np.mean(pi))
+
+
+def dense_kernel_weights(u, kernel):
+    a = np.abs(u)
+    if kernel == "triangular":
+        return np.maximum(0.0, 1.0 - a)
+    if kernel == "epanechnikov":
+        return np.maximum(0.0, 0.75 * (1.0 - u * u))
+    return np.where(a <= 1.0, 0.5, 0.0)
+
+
+def dense_widened_solve(x, y, q, degree, kernel, h):
+    """Single-query least squares, widening h by 1.5, 2.25 and 3 if rank deficient."""
+    for factor in (1.0, 1.5, 2.25, 3.0):
+        hh = h * factor
+        u = (x - q) / hh
+        wts = dense_kernel_weights(u, kernel)
+        active = wts > 0
+        if active.sum() < degree + 2 or np.unique(x[active]).size < degree + 1:
+            continue
+        sw = np.sqrt(wts[active])
+        a = np.vander(u[active], degree + 1, increasing=True) * sw[:, None]
+        try:
+            beta = np.linalg.lstsq(a, y[active] * sw, rcond=None)[0]
+            if np.linalg.cond(a.T @ a) > 1e12:
+                continue
+        except np.linalg.LinAlgError:
+            continue
+        return float(beta[0]), float(beta[1] / hh)
+    return None
+
+
+def dense_local_fit(x, y, queries, degree, kernel, h):
+    """Local polynomial values and derivatives from dense kernel windows.
+
+    For each chunk of 64 sorted queries, every training point within reach is
+    weighted for every query of the chunk, and each query's normal equations
+    are summed term by term. A query with fewer than degree + 2 weighted
+    points or with |det G| < 1e-12 G[0, 0]^p is solved by
+    `dense_widened_solve`; a query that fails there gets NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    queries = np.atleast_1d(np.asarray(queries, dtype=float))
+    p = degree + 1
+    values = np.full(queries.size, np.nan)
+    derivs = np.full(queries.size, np.nan)
+    qorder = np.argsort(queries, kind="stable")
+    for start in range(0, queries.size, 64):
+        idx = qorder[start : start + 64]
+        q = queries[idx]
+        lo = np.searchsorted(x, q.min() - h, side="left")
+        hi = np.searchsorted(x, q.max() + h, side="right")
+        u = (x[lo:hi, None] - q[None, :]) / h
+        wts = dense_kernel_weights(u, kernel)
+        counts = (wts > 0).sum(axis=0)
+        basis = [np.ones_like(u)]
+        for _ in range(1, p):
+            basis.append(basis[-1] * u)
+        gram = np.empty((q.size, p, p))
+        rhs = np.empty((q.size, p))
+        for i in range(p):
+            rhs[:, i] = (basis[i] * wts * y[lo:hi, None]).sum(axis=0)
+            for j in range(p):
+                gram[:, i, j] = (basis[i] * wts * basis[j]).sum(axis=0)
+        with np.errstate(all="ignore"):
+            good = (counts >= degree + 2) & (
+                np.abs(np.linalg.det(gram)) >= 1e-12 * np.abs(gram[:, 0, 0]) ** p)
+            if good.any():
+                beta = np.linalg.solve(gram[good], rhs[good][..., None])[..., 0]
+                values[idx[good]] = beta[:, 0]
+                derivs[idx[good]] = beta[:, 1] / h
+        for i in np.flatnonzero(~good | ~np.isfinite(values[idx]) | ~np.isfinite(derivs[idx])):
+            res = dense_widened_solve(x, y, float(q[i]), degree, kernel, h)
+            values[idx[i]], derivs[idx[i]] = res if res is not None else (np.nan, np.nan)
+    return values, derivs

@@ -59,6 +59,21 @@ class TestGenerate:
             ScenarioSpec(scenario="C", n=10)
 
 
+class TestPopulation:
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    @pytest.mark.parametrize("cutoffs", [{1: -850.0, 2: -571.0}, {1: -571.0, 2: -850.0}])
+    @pytest.mark.parametrize("mc_size", [
+        1, simlab._MEAN_CHUNK - 1, simlab._MEAN_CHUNK + 1, 2 * simlab._MEAN_CHUNK + 4321])
+    def test_arm_means_equal_mean_outcome_bitwise(self, scenario, cutoffs, mc_size):
+        # mean_outcome on the same blocks of draws, as the arm means are built
+        spec = ScenarioSpec(scenario=scenario, n=10, cutoffs=cutoffs)
+        pop = _draw_population(spec, mc_size, seed=mc_size)
+        blocks = [slice(s, s + simlab._MEAN_CHUNK) for s in range(0, mc_size, simlab._MEAN_CHUNK)]
+        for arm, got in ((1, pop.treated), (0, pop.control)):
+            want = np.concatenate([spec.mean_outcome(arm, pop.x[b], pop.g[b]) for b in blocks])
+            assert got.tobytes() == want.tobytes()
+
+
 class TestTrueValue:
     def test_identical_policies_bit_exact(self):
         spec = ScenarioSpec(scenario="A", n=10)

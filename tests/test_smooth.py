@@ -2,16 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_local_fit
+from rdsafe import smooth
 from rdsafe.core import Dataset, EstimationError, Record, StudyDesign
 from rdsafe.estimator import make_folds
 from rdsafe.simlab import ScenarioSpec, generate
 from rdsafe.smooth import (
+    KERNELS,
     CurveFit,
     LocalPolyConfig,
     _fit_propensity_arrays,
+    _kernel_weights,
+    _windows,
     auto_bandwidth,
     boundary_limit,
     fit_group_propensity,
@@ -89,6 +94,141 @@ class TestLocalPoly:
         fit = fit_local_poly(pts, LocalPolyConfig(degree=1))
         q = np.linspace(-1.0, 2.0, 11)
         assert np.allclose(fit.values(q), a + b * q, atol=1e-7)
+
+
+def assert_matches_dense(fit, q):
+    """Values and derivatives agree with the dense oracle within 1e-10 relative.
+
+    The scale is max(|value|, RMS of y over the query's kernel window);
+    derivatives are compared as derivative * bandwidth.
+    """
+    cfg, h = fit.config, fit.bandwidth
+    want, want_d = dense_local_fit(fit.x, fit.y, q, cfg.degree, cfg.kernel, h)
+    if np.isnan(want).any():
+        with pytest.raises(EstimationError):
+            fit.values(q)
+        return
+    got, got_d = fit.values(q), fit.derivatives(q)
+    for i, qi in enumerate(q):
+        inside = _kernel_weights((fit.x - qi) / h, cfg.kernel) > 0
+        rms = float(np.sqrt(np.mean(fit.y[inside] ** 2))) if inside.any() else 0.0
+        scale = max(abs(want[i]), rms)
+        assert abs(got[i] - want[i]) <= 1e-10 * scale, (qi, got[i], want[i])
+        assert abs(got_d[i] - want_d[i]) * h <= 1e-10 * scale, (qi, got_d[i], want_d[i])
+
+
+def window_range(x, q, h, kernel):
+    """[lo, hi) of the points the dense kernel weighs, checked to be contiguous."""
+    inside = np.flatnonzero(_kernel_weights((x - q) / h, kernel) > 0)
+    if inside.size == 0:
+        return None
+    assert inside.size == inside[-1] - inside[0] + 1
+    return inside[0], inside[-1] + 1
+
+
+class TestMomentEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 20_000),
+           degree=st.sampled_from([1, 2]), kernel=st.sampled_from(KERNELS),
+           offset=st.sampled_from([0.0, -1000.0, 1e4]), spread=st.sampled_from([1.0, 40.0, 1e4]),
+           ties=st.booleans(), auto=st.booleans(), n_queries=st.integers(1, 60))
+    # a case that needs the running sums' error terms
+    @example(seed=9890041, n=9422, degree=2, kernel="triangular", offset=0.0, spread=1.0,
+             ties=False, auto=False, n_queries=31)
+    def test_matches_dense_oracle(self, seed, n, degree, kernel, offset, spread, ties, auto,
+                                  n_queries):
+        rng = np.random.default_rng(seed)
+        x = offset + spread * rng.uniform(0.0, 1.0, n)
+        if ties:
+            x = offset + np.round((x - offset) * (200.0 / spread)) * (spread / 200.0)
+        y = np.sin(6.0 * (x - offset) / spread) + rng.normal(0.0, 0.3, n)
+        if np.unique(x).size < max(degree + 2, 5):
+            return
+        bandwidth = "auto" if auto else float(spread * rng.uniform(0.02, 0.4))
+        fit = CurveFit(x, y, LocalPolyConfig(degree=degree, kernel=kernel, bandwidth=bandwidth))
+        # queries up to a quarter bandwidth beyond the data, in random order
+        h = fit.bandwidth
+        q = rng.uniform(fit.x[0] - h / 4, fit.x[-1] + h / 4, n_queries)
+        assert_matches_dense(fit, q)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("start, step", [(-1000.0, 0.1), (-50.0, 0.25)])
+    def test_grid_points_on_the_window_edge(self, kernel, degree, start, step):
+        # h is three grid steps, so |u| = 1 at the points three steps from a
+        # query: exactly on the dyadic grid, within rounding on the other
+        h = 3 * step
+        x = start + step * np.arange(400)
+        y = np.cos(x) + 0.01 * (x - start) ** 2
+        fit = CurveFit(x, y, LocalPolyConfig(degree=degree, kernel=kernel, bandwidth=h))
+        q = x[::-7].copy()
+        for qi in q:
+            lo, hi, _ = _windows(fit.x, np.array([qi]), h, kernel)
+            assert (int(lo[0]), int(hi[0])) == window_range(fit.x, qi, h, kernel)
+        assert_matches_dense(fit, q)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tied_x_at_window_edges(self, kernel):
+        # 25 points each at q - h, q + h and their neighbouring floats
+        q, h = -1000.25, 0.5
+        edges = [q - h, q + h]
+        beside = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        x = np.concatenate([np.repeat(edges, 25), np.repeat(beside, 25),
+                            np.linspace(q - 0.4, q + 0.4, 40)])
+        y = np.random.default_rng(0).normal(size=x.size)
+        fit = CurveFit(x, y, LocalPolyConfig(degree=2, kernel=kernel, bandwidth=h))
+        queries = np.array([q, np.nextafter(q, np.inf), q - 0.1, q + 0.17])
+        for qi in queries:
+            lo, hi, split = _windows(fit.x, np.array([qi]), h, kernel)
+            assert (int(lo[0]), int(hi[0])) == window_range(fit.x, qi, h, kernel)
+            assert int(split[0]) == int(np.searchsorted(fit.x, qi))
+        assert_matches_dense(fit, queries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kernel=st.sampled_from(KERNELS),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]), offset=st.sampled_from([0.0, -1000.0, 1e4]))
+    def test_window_membership_is_the_dense_kernels(self, seed, kernel, scale, offset):
+        # points one float away from q +- h on either side, with ties
+        rng = np.random.default_rng(seed)
+        q = offset + scale * rng.uniform(-1.0, 1.0, 8)
+        h = scale * float(rng.uniform(0.05, 0.5))
+        edges = np.concatenate([q - h, q + h])
+        near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        x = np.sort(np.concatenate([np.repeat(near, 3), edges,
+                                    offset + scale * rng.uniform(-1.5, 1.5, 200)]))
+        lo, hi, split = _windows(x, q, h, kernel)
+        for i, qi in enumerate(q):
+            want = window_range(x, qi, h, kernel) or (lo[i], lo[i])
+            assert (lo[i], hi[i]) == want
+            assert split[i] == np.searchsorted(x, qi)
+
+    def test_queries_beyond_reach_raise(self):
+        x = np.linspace(0.0, 1.0, 50)
+        fit = CurveFit(x, x * x, LocalPolyConfig(degree=1, bandwidth=0.1))
+        with pytest.raises(EstimationError, match="rank deficient"):
+            fit.values([0.5, 1.5])
+        assert_matches_dense(fit, np.array([1.05, -0.2, 0.5]))
+
+    def test_singular_queries_alone_fall_back(self, monkeypatch):
+        # more than h away from the other points: four tied points at 12,
+        # whose query has an exactly singular Gram matrix, and four within
+        # 3e-7 of -2, whose query fails the determinant test; the other 500
+        # queries need no fallback
+        x = np.concatenate([np.linspace(0.0, 10.0, 200), np.full(4, 12.0),
+                            -2.0 + 1e-7 * np.arange(4)])
+        fit = CurveFit(x, np.sin(x), LocalPolyConfig(degree=1, bandwidth=1.0))
+        q = np.concatenate([np.linspace(0.5, 9.5, 500), [12.0, -2.0]])
+        calls = []
+        solve = smooth._local_solve
+
+        def counted(*args):
+            calls.append(args[2])
+            return solve(*args)
+
+        monkeypatch.setattr(smooth, "_local_solve", counted)
+        fit.values(q)
+        assert sorted(calls) == [-2.0, 12.0]
+        assert_matches_dense(fit, q)
 
 
 class TestAutoBandwidth:
