@@ -7,7 +7,6 @@ from .core import (
     DesignError,
     EstimationError,
     RdsafeError,
-    Record,
     StudyDesign,
     ThresholdPolicy,
     UtilityConfig,
@@ -41,6 +40,6 @@ from .learner import (
     sensitivity_sweep,
 )
 from .simlab import RegretReport, ScenarioSpec, generate, oracle_policy, true_value
-from .smooth import CurveFit, LocalPolyConfig, auto_bandwidth, boundary_limit, fit_local_poly
+from .smooth import CurveFit, LocalPolyConfig, auto_bandwidth, boundary_limit
 
 __version__ = "0.1.0"

@@ -2,12 +2,15 @@
 
 Groups are identified by arbitrary labels in input files; internally every
 label is mapped to a rank 1..Q in cutoff-ascending order, which is the
-indexing every estimator uses. Original labels are kept for reporting.
+indexing every estimator uses, and `StudyDesign.label_of` maps a rank back to
+its label for reporting. A `Dataset` is columnar: the arrays x, w, y and rank,
+validated in whole-array operations, with no per-observation objects.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -123,16 +126,6 @@ class StudyDesign:
 
 
 @dataclass(frozen=True)
-class Record:
-    """One observation: running variable, group label, treatment, outcome."""
-
-    x: float
-    g: object
-    w: int
-    y: float
-
-
-@dataclass(frozen=True)
 class UtilityConfig:
     """Cost-adjusted utility u(y, w) = y - cost * w."""
 
@@ -145,33 +138,45 @@ class UtilityConfig:
 
 
 class Dataset:
-    """Immutable, validated collection of sharp-RD records under a design.
+    """Validated sharp-RD observations under a design, as read-only columns.
 
-    Validation checks every record's treatment against the sharp rule
-    w == 1(x >= cutoff of its group) and enforces a minimum group size.
+    x, w and y are the running variable, treatment and outcome; the group
+    labels g are stored as their ranks (`design.label_of(rank)` maps back).
+    The checks, in order: x and y finite, w in {0, 1}, g a design group, the
+    sharp rule w == 1(x >= cutoff of g), then `min_group_size` per group.
+    An error names the first failing observation by 0-based "row" and its
+    first failed check.
     """
 
-    def __init__(self, records, design: StudyDesign, min_group_size: int = 30):
-        records = tuple(records)
-        n = len(records)
-        x = np.empty(n)
-        y = np.empty(n)
-        w = np.empty(n, dtype=np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        for i, r in enumerate(records):
-            _check_finite(r.x, "running variable x", row=i)
-            _check_finite(r.y, "outcome y", row=i)
-            if r.w not in (0, 1):
-                raise DataError(f"treatment w must be 0 or 1, got {r.w!r} (row {i})")
-            rk = design.rank_of(r.g)
-            expected = 1 if r.x >= design.cutoff_of_rank(rk) else 0
-            if r.w != expected:
-                raise AssignmentViolationError(
-                    f"row {i}: group {r.g!r} has cutoff "
-                    f"{design.cutoff_of_rank(rk)} and x={r.x}, so the sharp rule "
-                    f"implies w={expected}, but w={r.w} was observed"
-                )
-            x[i], y[i], w[i], rank[i] = r.x, r.y, r.w, rk
+    def __init__(self, x, g, w, y, design: StudyDesign, min_group_size: int = 30):
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
+        w = np.asarray(w)
+        labels = g.tolist() if isinstance(g, np.ndarray) else list(g)
+        n = x.size
+        if not x.ndim == y.ndim == w.ndim == 1 or not n == len(labels) == w.size == y.size:
+            raise DataError(
+                f"x, g, w and y must be 1-d columns of one length, got lengths "
+                f"{x.size}, {len(labels)}, {w.size} and {y.size}"
+            )
+        rank = np.fromiter(map(design._rank.get, labels, itertools.repeat(0)),
+                           dtype=np.int64, count=n)
+        cut = design.sorted_cutoffs[rank - 1]
+        bad = (~np.isfinite(x) | ~np.isfinite(y) | ((w != 0) & (w != 1))
+               | (rank == 0) | (w != (x >= cut)))
+        if bad.any():
+            # the checks again, in order, on the first failing row alone
+            i = int(np.argmax(bad))
+            xi, wi, label = float(x[i]), w.tolist()[i], labels[i]
+            _check_finite(xi, "running variable x", row=i)
+            _check_finite(float(y[i]), "outcome y", row=i)
+            if wi not in (0, 1):
+                raise DataError(f"treatment w must be 0 or 1, got {wi!r} (row {i})")
+            cutoff = design.cutoff_of_rank(design.rank_of(label))
+            raise AssignmentViolationError(
+                f"row {i}: group {label!r} has cutoff {cutoff} and x={xi}, so the "
+                f"sharp rule implies w={int(xi >= cutoff)}, but w={wi} was observed"
+            )
         counts = np.bincount(rank, minlength=design.q + 1)[1:]
         for rk, cnt in enumerate(counts, start=1):
             if cnt < min_group_size:
@@ -179,9 +184,9 @@ class Dataset:
                     f"group {design.label_of(rk)!r} has {cnt} records, fewer than "
                     f"the required minimum of {min_group_size}"
                 )
+        w = w.astype(np.int64)
         for arr in (x, y, w, rank):
             arr.flags.writeable = False
-        self.records = records
         self.design = design
         self.x = x
         self.y = y
@@ -189,7 +194,7 @@ class Dataset:
         self.rank = rank
 
     def __len__(self):
-        return len(self.records)
+        return self.x.size
 
     def utility_outcomes(self, cfg: UtilityConfig | None) -> np.ndarray:
         """Outcomes after the cost adjustment u(y, w) = y - C*w."""
@@ -229,15 +234,6 @@ class ThresholdPolicy:
         self.cutoffs = {label: float(cutoffs[label]) for label in design.groups}
         self.cutoff_by_rank = by_rank
 
-    def assign(self, x: float, g) -> int:
-        return 1 if x >= self.cutoffs_for(g) else 0
-
-    def cutoffs_for(self, g) -> float:
-        try:
-            return self.cutoffs[g]
-        except KeyError:
-            raise DesignError(f"unknown group {g!r}") from None
-
     def indicator(self, x: np.ndarray, rank) -> np.ndarray:
         """Vectorized pi(x, g) for rank scalar or per-record rank array."""
         cuts = self.cutoff_by_rank[np.asarray(rank) - 1]
@@ -262,7 +258,7 @@ def baseline_policy(design: StudyDesign) -> ThresholdPolicy:
 _COLUMNS = ("x", "g", "w", "y")
 
 
-def _match_group(raw: str, design: StudyDesign, row: int):
+def _match_group(raw: str, design: StudyDesign, row: int | None):
     if raw in design.cutoffs:
         return raw
     try:
@@ -284,28 +280,30 @@ def load_dataset(
 
     `source` is a path, bytes, or a text or binary stream; a file opened from a
     path is closed before returning, and a caller's stream is left open.
-    Column names are case-insensitive and may appear in any order. Every row
-    is checked against the sharp assignment rule of the design; the first
-    offending row is reported.
+    Column names are case-insensitive and may appear in any order. Blank rows
+    are skipped. A row that is short or does not parse is reported by its
+    1-based data line; the `Dataset` checks, among them the sharp assignment
+    rule of the design, report the first offending record.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as stream:
-            records = _read_records(stream, design, delimiter)
+            columns = _read_columns(stream, design, delimiter)
     elif isinstance(source, bytes):
-        records = _read_records(io.StringIO(source.decode("utf-8")), design, delimiter)
+        columns = _read_columns(io.StringIO(source.decode("utf-8")), design, delimiter)
     elif isinstance(source, io.TextIOBase):
-        records = _read_records(source, design, delimiter)
+        columns = _read_columns(source, design, delimiter)
     else:
         # binary file-like: a dropped wrapper would close the stream it wraps
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
         try:
-            records = _read_records(stream, design, delimiter)
+            columns = _read_columns(stream, design, delimiter)
         finally:
             stream.detach()
-    return Dataset(records, design, min_group_size=min_group_size)
+    return Dataset(*columns, design, min_group_size=min_group_size)
 
 
-def _read_records(stream, design: StudyDesign, delimiter: str) -> list:
+def _read_columns(stream, design: StudyDesign, delimiter: str) -> tuple:
+    """The columns (x, g, w, y) of the data rows; g holds design labels."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -317,21 +315,30 @@ def _read_records(stream, design: StudyDesign, delimiter: str) -> list:
         if name not in names:
             raise DataError(f"missing column {name!r} in header {header!r}")
         col[name] = names.index(name)
-    records = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(names):
-            raise DataError(f"row {row_no}: expected {len(names)} fields, got {len(row)}")
+    rows = list(reader)
+    # blank rows are skipped, but still counted in the line numbers
+    filled = list(map(bool, map(str.strip, map("".join, rows))))
+    data = list(itertools.compress(rows, filled))
+    width = len(names)
+    if min(map(len, data), default=width) >= width:
+        cells = list(zip(*data)) or [()] * width
         try:
-            x = float(row[col["x"]])
-            w = int(row[col["w"]])
-            y = float(row[col["y"]])
+            labels = {raw: _match_group(raw.strip(), design, None) for raw in set(cells[col["g"]])}
+            return (list(map(float, cells[col["x"]])), list(map(labels.get, cells[col["g"]])),
+                    list(map(int, cells[col["w"]])), list(map(float, cells[col["y"]])))
+        except ValueError:  # a bad number, or DesignError for an unknown label
+            pass
+    # a row is short or does not parse: find the first, as it is numbered in the file
+    for row_no, row in itertools.compress(enumerate(rows, start=1), filled):
+        if len(row) < width:
+            raise DataError(f"row {row_no}: expected {width} fields, got {len(row)}")
+        try:
+            float(row[col["x"]])
+            int(row[col["w"]])
+            float(row[col["y"]])
         except ValueError as exc:
             raise DataError(f"row {row_no}: could not parse numeric field ({exc})") from None
-        g = _match_group(row[col["g"]].strip(), design, row_no)
-        records.append(Record(x=x, g=g, w=w, y=y))
-    return records
+        _match_group(row[col["g"]].strip(), design, row_no)
 
 
 def serialize_dataset(dataset: Dataset, delimiter: str = ",") -> str:
@@ -339,6 +346,7 @@ def serialize_dataset(dataset: Dataset, delimiter: str = ",") -> str:
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for r in dataset.records:
-        writer.writerow([repr(r.x), r.g, r.w, repr(r.y)])
+    writer.writerows(zip(map(repr, dataset.x.tolist()),
+                         map(dataset.design.label_of, dataset.rank.tolist()),
+                         dataset.w.tolist(), map(repr, dataset.y.tolist())))
     return out.getvalue()

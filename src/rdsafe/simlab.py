@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RdsafeError, Record, StudyDesign, ThresholdPolicy, baseline_policy
+from .core import Dataset, RdsafeError, StudyDesign, ThresholdPolicy, baseline_policy
 from .learner import LearnerConfig, learn_policy
 
 _CUTOFFS = {1: -850.0, 2: -571.0}
@@ -95,9 +95,7 @@ def generate(spec: ScenarioSpec, seed: int) -> Dataset:
     cuts = np.array([spec.cutoffs[1], spec.cutoffs[2]])
     w = (x >= cuts[g - 1]).astype(int)
     y = spec.mean_outcome(w, x, g) + rng.normal(0.0, spec.noise_sd, size=spec.n)
-    records = [Record(x=float(xi), g=int(gi), w=int(wi), y=float(yi))
-               for xi, gi, wi, yi in zip(x, g, w, y)]
-    return Dataset(records, spec.design)
+    return Dataset(x, g, w, y, spec.design)
 
 
 class Population(NamedTuple):

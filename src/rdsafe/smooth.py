@@ -22,7 +22,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import Dataset, EstimationError
+from .core import EstimationError
 
 KERNELS = ("triangular", "epanechnikov", "uniform")
 
@@ -66,16 +66,21 @@ def auto_bandwidth(xs, min_points: int = 3) -> float:
     windows of `min_points` consecutive order statistics).
     """
     xs = np.asarray(xs, dtype=float)
+    return _bandwidth(xs, np.sort(xs), min_points)
+
+
+def _bandwidth(xs, srt, min_points):
+    """`auto_bandwidth` of xs given srt = np.sort(xs). The standard deviation
+    stays in the caller's order: summed in sorted order it can move a last bit."""
     n = xs.size
     if n < 5:
         raise EstimationError(f"auto bandwidth needs at least 5 points, got {n}")
     sd = float(np.std(xs))
-    q75, q25 = np.percentile(xs, [75, 25])
+    q75, q25 = np.percentile(srt, [75, 25])
     spread = min(sd, (q75 - q25) / 1.349) if q75 > q25 else sd
     if spread <= 0:
         raise EstimationError("cannot pick a bandwidth: all x values are identical")
     h = 1.06 * spread * n ** (-0.2)
-    srt = np.sort(xs)
     k = min_points
     if n >= k:
         floor = float(np.max(srt[k - 1 :] - srt[: n - k + 1]))
@@ -269,19 +274,21 @@ class CurveFit:
         y = np.ascontiguousarray(y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be equal-length 1-d arrays")
-        if np.unique(x).size < config.degree + 2:
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        distinct = np.count_nonzero(np.diff(xs)) + min(xs.size, 1)
+        if distinct < config.degree + 2:
             raise EstimationError(
                 f"need at least {config.degree + 2} distinct x values for a "
-                f"degree-{config.degree} local fit, got {np.unique(x).size}"
+                f"degree-{config.degree} local fit, got {distinct}"
             )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("training points must be finite")
         if config.bandwidth == "auto":
-            h = auto_bandwidth(x, min_points=config.degree + 2)
+            h = _bandwidth(x, xs, config.degree + 2)
         else:
             h = float(config.bandwidth)
-        order = np.argsort(x, kind="stable")
-        self.x = x[order]
+        self.x = xs
         self.y = y[order]
         self.x.flags.writeable = False
         self.y.flags.writeable = False
@@ -345,15 +352,6 @@ class CurveFit:
 
     def value(self, q: float) -> float:
         return self.values(float(q))
-
-    def derivative(self, q: float) -> float:
-        return self.derivatives(float(q))
-
-
-def fit_local_poly(points, config: LocalPolyConfig | None = None) -> CurveFit:
-    """Fit a local polynomial smoother to (x, y) pairs."""
-    pts = np.asarray(points, dtype=float)
-    return CurveFit(pts[:, 0], pts[:, 1], config)
 
 
 def boundary_limit(points, target: float, side: str, config: LocalPolyConfig | None = None) -> float:
@@ -504,9 +502,3 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
         )
     return PropensityModel(coef, basis_degree, clamp_eps, center, scale, q,
                            loglik_path=path, converged=converged)
-
-
-def fit_group_propensity(dataset: Dataset, basis_degree: int = 3, clamp_eps: float = 0.01) -> PropensityModel:
-    """Fit P(G = g | X = x) by multinomial logistic regression on standardized x."""
-    return _fit_propensity_arrays(dataset.x, dataset.rank, dataset.design.q,
-                                  basis_degree=basis_degree, clamp_eps=clamp_eps)

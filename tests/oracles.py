@@ -3,9 +3,39 @@
 Everything here is written with explicit per-record loops and its own interval
 logic, deliberately sharing no code with the package internals.
 """
+import math
+
 import numpy as np
 
-from rdsafe.core import Dataset, Record, StudyDesign
+from rdsafe.core import AssignmentViolationError, DataError, Dataset, DesignError, StudyDesign
+
+
+def bf_dataset_error(x, g, w, y, design, min_group_size):
+    """(exception type, message) of the first `Dataset` check the columns fail, or None.
+
+    Record by record: x finite, y finite, w in {0, 1}, a design group, the
+    sharp rule; then the group sizes in rank order.
+    """
+    for i, (xi, gi, wi, yi) in enumerate(zip(x, g, w, y)):
+        if not math.isfinite(xi):
+            return DataError, f"running variable x must be finite, got {xi!r} (row {i})"
+        if not math.isfinite(yi):
+            return DataError, f"outcome y must be finite, got {yi!r} (row {i})"
+        if wi not in (0, 1):
+            return DataError, f"treatment w must be 0 or 1, got {wi!r} (row {i})"
+        if gi not in design.cutoffs:
+            return DesignError, f"unknown group {gi!r}"
+        cut = design.cutoffs[gi]
+        if wi != (1 if xi >= cut else 0):
+            return AssignmentViolationError, (
+                f"row {i}: group {gi!r} has cutoff {cut} and x={xi}, so the sharp rule "
+                f"implies w={1 if xi >= cut else 0}, but w={wi} was observed")
+    for label in design.groups:
+        count = sum(1 for gi in g if gi == label)
+        if count < min_group_size:
+            return DataError, (f"group {label!r} has {count} records, fewer than "
+                               f"the required minimum of {min_group_size}")
+    return None
 
 
 def bf_interval(x, cuts):
@@ -33,8 +63,8 @@ def bf_components(dataset, policy, baseline, mean_fn, prop_fn, lower_fn, cost=0.
     for i in range(n):
         x, y, w, gi = float(dataset.x[i]), float(dataset.y[i]), int(dataset.w[i]), int(dataset.rank[i])
         label = design.label_of(gi)
-        pi_own = policy.assign(x, label)
-        tilde_own = baseline.assign(x, label)
+        pi_own = 1 if x >= policy.cutoffs[label] else 0
+        tilde_own = 1 if x >= baseline.cutoffs[label] else 0
         if pi_own == tilde_own:
             iden += y - cost * w
         in_range = cuts[0] <= x <= cuts[-1]
@@ -110,13 +140,13 @@ def random_toy(seed, q=None, n=None):
         x = float(rng.uniform(cuts[0] - 2, cuts[-1] + 2))
         g = int(rng.integers(1, q + 1))
         w = int(x >= cuts[g - 1])
-        records.append(Record(x=x, g=g, w=w, y=float(rng.normal())))
+        records.append((x, g, w, float(rng.normal())))
     # ensure every group appears enough for rank bookkeeping
     for g in range(1, q + 1):
         for _ in range(3):
             x = float(rng.uniform(cuts[0] - 2, cuts[-1] + 2))
-            records.append(Record(x=x, g=g, w=int(x >= cuts[g - 1]), y=float(rng.normal())))
-    dataset = Dataset(records, design, min_group_size=1)
+            records.append((x, g, int(x >= cuts[g - 1]), float(rng.normal())))
+    dataset = Dataset(*zip(*records), design, min_group_size=1)
     return dataset, mean_fn, prop_fn
 
 

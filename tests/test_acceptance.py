@@ -20,7 +20,6 @@ from oracles import bf_components, bf_lower, random_bounds, random_toy
 from rdsafe.cli import main as cli_main
 from rdsafe.core import (
     Dataset,
-    Record,
     StudyDesign,
     ThresholdPolicy,
     UtilityConfig,
@@ -37,7 +36,7 @@ from rdsafe.learner import (
     prepare_components,
 )
 from rdsafe.simlab import ScenarioSpec, _draw_population, generate, oracle_policy, true_value
-from rdsafe.smooth import LocalPolyConfig, boundary_limit, fit_group_propensity, fit_local_poly
+from rdsafe.smooth import CurveFit, LocalPolyConfig, _fit_propensity_arrays, boundary_limit
 
 
 def report(num, ok, desc):
@@ -284,7 +283,7 @@ class TestCriterion8NonparametricExactness:
         for degree in (1, 2):
             coefs = rng.normal(size=degree + 1)
             y = np.polyval(coefs[::-1], x)
-            fit = fit_local_poly(np.column_stack([x, y]), LocalPolyConfig(degree=degree))
+            fit = CurveFit(x, y, LocalPolyConfig(degree=degree))
             q = np.linspace(-1.5, 2.5, 30)
             ok &= bool(np.allclose(fit.values(q), np.polyval(coefs[::-1], q), atol=1e-8))
         # one-sided boundary limits ignore wrong-side data bit-exactly
@@ -294,13 +293,13 @@ class TestCriterion8NonparametricExactness:
             pts[pts[:, 0] >= 0], 0.0, "from_above")
         # propensity clamp honored on perfectly separated groups
         design = StudyDesign({1: -5.0, 2: 5.0})
-        recs = [Record(x=float(v), g=1 if v < 0 else 2,
-                       w=int(v >= (-5.0 if v < 0 else 5.0)), y=0.0)
-                for v in np.linspace(-10, 10, 200)]
-        ds = Dataset(recs, design, min_group_size=10)
+        x = np.linspace(-10, 10, 200)
+        g = np.where(x < 0, 1, 2)
+        ds = Dataset(x, g, (x >= np.where(x < 0, -5.0, 5.0)).astype(int), np.zeros(x.size),
+                     design, min_group_size=10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            model = fit_group_propensity(ds, clamp_eps=0.01)
+            model = _fit_propensity_arrays(ds.x, ds.rank, ds.design.q, clamp_eps=0.01)
         p = model.probabilities(np.linspace(-10, 10, 201))
         ok &= bool((p >= 0.01 - 1e-12).all() and np.allclose(p.sum(axis=1), 1.0))
         report(8, ok, "local polynomials reproduce polynomials to 1e-8, boundary "

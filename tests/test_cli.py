@@ -143,3 +143,38 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenarios", "Q", "--out", str(tmp_path / "q")])
         assert exc.value.code == 2
+
+
+class TestLoaderExitCodes:
+    def test_short_row_exit_3_names_its_line(self, workdir, tmp_path, capsys):
+        body = read(workdir / "data.csv")
+        bad = tmp_path / "short.csv"
+        bad.write_text(body + "\n-900.0,1\n")  # a blank line, then a short row
+        rc = main(["validate", "--input", str(bad), "--design", str(workdir / "design.yaml")])
+        assert rc == 3
+        line = len(body.splitlines()) + 1
+        assert capsys.readouterr().err == f"error (validation): row {line}: expected 4 fields, got 2\n"
+
+    def test_sharp_violation_exit_3_names_its_record(self, workdir, tmp_path, capsys):
+        body = read(workdir / "data.csv")
+        bad = tmp_path / "viol.csv"
+        bad.write_text(body + "\n-900.0,2,1,0.0\n")
+        rc = main(["validate", "--input", str(bad), "--design", str(workdir / "design.yaml")])
+        assert rc == 3
+        record = len(body.splitlines()) - 1
+        assert capsys.readouterr().err == (
+            f"error (validation): row {record}: group 2 has cutoff -571.0 and x=-900.0, "
+            "so the sharp rule implies w=0, but w=1 was observed\n")
+
+    def test_one_sided_group_exit_4(self, workdir, tmp_path, capsys):
+        header, *rows = read(workdir / "data.csv").splitlines()
+        # group 2 keeps only its treated records
+        kept = [r for r in rows if r.split(",")[1] == "1" or float(r.split(",")[0]) >= -571]
+        data = tmp_path / "one_sided.csv"
+        data.write_text("\n".join([header] + kept) + "\n")
+        out = tmp_path / "never"
+        rc = main(["learn", "--input", str(data), "--design", str(workdir / "design.yaml"),
+                   "--out", str(out)])
+        assert rc == 4
+        assert "conditional mean on the below-cutoff side" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,7 +5,6 @@ from oracles import bf_components, bf_lower, random_bounds, random_toy
 from rdsafe.core import (
     Dataset,
     EstimationError,
-    Record,
     StudyDesign,
     ThresholdPolicy,
     UtilityConfig,
@@ -33,8 +32,8 @@ def simple_dataset(n=200, seed=0, q=2):
     for _ in range(n):
         x = float(rng.uniform(-8, 8))
         g = int(rng.integers(1, q + 1))
-        recs.append(Record(x=x, g=g, w=int(x >= cuts[g]), y=float(rng.normal())))
-    return Dataset(recs, design, min_group_size=1)
+        recs.append((x, g, int(x >= cuts[g]), float(rng.normal())))
+    return Dataset(*zip(*recs), design, min_group_size=1)
 
 
 class TestFolds:
@@ -53,9 +52,9 @@ class TestFolds:
 
     def test_group_smaller_than_k(self):
         design = StudyDesign({1: -5.0, 2: 5.0})
-        recs = [Record(x=float(v), g=1, w=int(v >= -5), y=0.0) for v in range(-4, 4)]
-        recs += [Record(x=6.0, g=2, w=1, y=0.0), Record(x=7.0, g=2, w=1, y=0.0)]
-        ds = Dataset(recs, design, min_group_size=1)
+        recs = [(float(v), 1, int(v >= -5), 0.0) for v in range(-4, 4)]
+        recs += [(6.0, 2, 1, 0.0), (7.0, 2, 1, 0.0)]
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
         with pytest.raises(EstimationError, match="fewer than"):
             make_folds(ds, 5, seed=0)
 
@@ -84,11 +83,11 @@ class TestDRScores:
     def test_hand_computed_two_group_score(self):
         design = StudyDesign({1: 0.0, 2: 10.0})
         recs = [
-            Record(x=4.0, g=2, w=0, y=7.0),   # in [c_1, c_2), group 2
-            Record(x=4.0, g=1, w=1, y=3.0),   # same x, reference group 1
-            Record(x=-1.0, g=1, w=0, y=0.0),  # outside [c_1, c_2]
+            (4.0, 2, 0, 7.0),   # in [c_1, c_2), group 2
+            (4.0, 1, 1, 3.0),   # same x, reference group 1
+            (-1.0, 1, 0, 0.0),  # outside [c_1, c_2]
         ]
-        ds = Dataset(recs, design, min_group_size=1)
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
 
         def mean_fn(x, rank, side):
             return np.full_like(np.asarray(x, dtype=float), 2.0 if side == "above" else 5.0)
@@ -165,7 +164,10 @@ class TestComponentsAgainstBruteForce:
 def folded_dataset(n, seed, k, extra=()):
     ds = simple_dataset(n, seed=seed)
     if extra:
-        ds = Dataset(ds.records + tuple(extra), ds.design, min_group_size=1)
+        x, g, w, y = zip(*extra)
+        ds = Dataset(np.concatenate([ds.x, x]), np.concatenate([ds.rank, g]),
+                     np.concatenate([ds.w, w]), np.concatenate([ds.y, y]),
+                     ds.design, min_group_size=1)
     return ds, make_folds(ds, k, seed=seed)
 
 
@@ -195,7 +197,7 @@ class TestCrossfitNuisances:
             assert np.array_equal(np.isnan(nus.control[:, rank - 1]), ds.x > cut)
 
     def test_out_of_fold_evaluation_changes_with_fold(self):
-        same_x = [Record(x=1.0, g=2, w=0, y=float(v)) for v in range(8)]
+        same_x = [(1.0, 2, 0, float(v)) for v in range(8)]
         ds, folds = folded_dataset(400, seed=5, k=4, extra=same_x)
         nus = fit_crossfit_nuisances(ds, folds)
         rows = np.flatnonzero(ds.x == 1.0)
@@ -214,10 +216,10 @@ class TestCrossfitNuisances:
 
     def test_sparse_side_error_names_fold_group_and_side(self):
         design = StudyDesign({"a": -5.0, "b": 5.0})
-        recs = [Record(x=float(v), g="a", w=int(v >= -5), y=0.0) for v in np.linspace(-8, 8, 60)]
-        recs += [Record(x=float(v), g="b", w=1, y=0.0) for v in np.linspace(5, 8, 30)]
-        recs += [Record(x=0.0, g="b", w=0, y=0.0), Record(x=1.0, g="b", w=0, y=0.0)]
-        ds = Dataset(recs, design, min_group_size=1)
+        recs = [(float(v), "a", int(v >= -5), 0.0) for v in np.linspace(-8, 8, 60)]
+        recs += [(float(v), "b", 1, 0.0) for v in np.linspace(5, 8, 30)]
+        recs += [(0.0, "b", 0, 0.0), (1.0, "b", 0, 0.0)]
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
         with pytest.raises(EstimationError,
                            match=r"fold 0, group 'b', conditional mean on the below-cutoff side"):
             fit_crossfit_nuisances(ds, make_folds(ds, 2, seed=0))

@@ -7,7 +7,6 @@ from oracles import bf_components, bf_lower, random_bounds, random_toy
 from rdsafe.core import (
     Dataset,
     EstimationError,
-    Record,
     StudyDesign,
     ThresholdPolicy,
     baseline_policy,
@@ -55,8 +54,14 @@ def region_dataset(seed=0, n=400):
         g = int(rng.integers(1, 3))
         w = int(x >= (-5.0 if g == 1 else 5.0))
         y = float(2.0 * g + 0.5 * x + rng.normal(0, 0.1))
-        recs.append(Record(x=x, g=g, w=w, y=y))
-    return Dataset(recs, design, min_group_size=1)
+        recs.append((x, g, w, y))
+    return Dataset(*zip(*recs), design, min_group_size=1)
+
+
+def subset(dataset, keep):
+    """The records of a region_dataset where `keep` holds; labels equal ranks."""
+    return Dataset(dataset.x[keep], dataset.rank[keep], dataset.w[keep], dataset.y[keep],
+                   dataset.design, min_group_size=1)
 
 
 def oracle_for(dataset, mean_fn=None, prop_fn=None):
@@ -74,11 +79,11 @@ class TestPseudoOutcomes:
     def test_residual_vanishes_when_outcome_matches_mean(self):
         design = StudyDesign({1: -5.0, 2: 5.0})
         # record of group 2, treated, y exactly at the model mean
-        recs = [Record(x=6.0, g=2, w=1, y=2.0 * 2 + 0.5 * 6.0)]
-        recs += [Record(x=float(v), g=1, w=1, y=0.0) for v in np.linspace(5.5, 11, 12)]
-        recs += [Record(x=float(v), g=2, w=1, y=0.0) for v in np.linspace(5.5, 11, 12)]
-        recs += [Record(x=-6.0, g=1, w=0, y=0.0), Record(x=-7.0, g=2, w=0, y=0.0)]
-        ds = Dataset(recs, design, min_group_size=1)
+        recs = [(6.0, 2, 1, 2.0 * 2 + 0.5 * 6.0)]
+        recs += [(float(v), 1, 1, 0.0) for v in np.linspace(5.5, 11, 12)]
+        recs += [(float(v), 2, 1, 0.0) for v in np.linspace(5.5, 11, 12)]
+        recs += [(-6.0, 1, 0, 0.0), (-7.0, 2, 0, 0.0)]
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
         nus = oracle_for(ds)
         xs, phis = difference_pseudo_outcomes(ds, nus, 1, 2, 1)
         i = int(np.flatnonzero(xs == 6.0)[0])
@@ -88,10 +93,10 @@ class TestPseudoOutcomes:
     def test_hand_evaluated_pseudo_outcome(self):
         # y=5, G=g, e_g=0.5, m(x,g)=4, m(x,g')=1 -> phi = 3 + 2 = 5
         design = StudyDesign({1: -5.0, 2: 5.0})
-        recs = [Record(x=6.0, g=2, w=1, y=5.0)]
-        recs += [Record(x=float(v), g=1, w=1, y=0.0) for v in np.linspace(5.5, 11, 12)]
-        recs += [Record(x=-6.0, g=2, w=0, y=0.0)]
-        ds = Dataset(recs, design, min_group_size=1)
+        recs = [(6.0, 2, 1, 5.0)]
+        recs += [(float(v), 1, 1, 0.0) for v in np.linspace(5.5, 11, 12)]
+        recs += [(-6.0, 2, 0, 0.0)]
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
 
         def mean_fn(x, rank, side):
             val = 4.0 if rank == 2 else 1.0
@@ -115,9 +120,9 @@ class TestPseudoOutcomes:
             for _ in range(200):
                 x = float(rng.uniform(5, 12))
                 g = int(rng.integers(1, 3))
-                recs.append(Record(x=x, g=g, w=1, y=float(rng.normal(1.0, 0.5))))
-            recs += [Record(x=-6.0, g=1, w=0, y=0.0), Record(x=-7.0, g=2, w=0, y=0.0)]
-            ds = Dataset(recs, design, min_group_size=1)
+                recs.append((x, g, 1, float(rng.normal(1.0, 0.5))))
+            recs += [(-6.0, 1, 0, 0.0), (-7.0, 2, 0, 0.0)]
+            ds = Dataset(*zip(*recs), design, min_group_size=1)
 
             def mean_fn(x, rank, side):
                 return np.ones_like(np.asarray(x, dtype=float))
@@ -131,8 +136,7 @@ class TestPseudoOutcomes:
         ds = region_dataset()
         nus = oracle_for(ds)
         # w=0 region is x <= -5 for pair (0,1,2); drop those records
-        keep = [r for r in ds.records if not (r.x <= -5.0)]
-        small = Dataset(keep, ds.design, min_group_size=1)
+        small = subset(ds, ~(ds.x <= -5.0))
         nus2 = oracle_for(small)
         with pytest.raises(EstimationError, match="w=0"):
             difference_pseudo_outcomes(small, nus2, 0, 1, 2)
@@ -242,8 +246,7 @@ class TestBuildBoundModel:
 
     def test_missing_pair_error_from_data(self):
         ds = region_dataset(seed=3)
-        keep = [r for r in ds.records if r.x > -5.0]
-        small = Dataset(keep, ds.design, min_group_size=1)
+        small = subset(ds, ds.x > -5.0)
         nus = oracle_for(small)
         with pytest.raises(EstimationError, match=r"\(w=0, g=1, g'=2\)"):
             fit_all_difference_curves(small, nus)
@@ -261,13 +264,13 @@ class TestWorstCaseXi2:
     def test_q3_toy_matches_brute_force(self):
         design = StudyDesign({1: 0.0, 2: 1.0, 3: 2.0})
         recs = [
-            Record(x=0.5, g=3, w=0, y=0.0),   # interval 1
-            Record(x=1.5, g=3, w=0, y=0.0),   # interval 2
-            Record(x=0.5, g=1, w=1, y=0.0),
-            Record(x=1.5, g=1, w=1, y=0.0),
-            Record(x=2.0, g=2, w=1, y=0.0),   # topmost point
+            (0.5, 3, 0, 0.0),   # interval 1
+            (1.5, 3, 0, 0.0),   # interval 2
+            (0.5, 1, 1, 0.0),
+            (1.5, 1, 1, 0.0),
+            (2.0, 2, 1, 0.0),   # topmost point
         ]
-        ds = Dataset(recs, design, min_group_size=1)
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
         boundary, lam, anchors = random_bounds(design, 42)
         model = BoundModel(design, boundary, SmoothnessParams(lam=lam))
         base = baseline_policy(design)

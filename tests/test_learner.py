@@ -6,7 +6,6 @@ import pytest
 from oracles import random_bounds, random_toy
 from rdsafe.core import (
     Dataset,
-    Record,
     StudyDesign,
     ThresholdPolicy,
     UtilityConfig,
@@ -30,10 +29,10 @@ from rdsafe.simlab import ScenarioSpec, generate
 class TestCandidateGrid:
     def test_observed_mode_example(self):
         design = StudyDesign({1: 0.0, 2: 1.0})
-        recs = [Record(x=0.2, g=1, w=1, y=0.0), Record(x=0.7, g=1, w=1, y=0.0),
-                Record(x=1.5, g=1, w=1, y=0.0), Record(x=1.5, g=2, w=1, y=0.0),
-                Record(x=-0.5, g=2, w=0, y=0.0)]
-        ds = Dataset(recs, design, min_group_size=1)
+        recs = [(0.2, 1, 1, 0.0), (0.7, 1, 1, 0.0),
+                (1.5, 1, 1, 0.0), (1.5, 2, 1, 0.0),
+                (-0.5, 2, 0, 0.0)]
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
         grid = candidate_grid(ds, design, "observed")
         for rank in (1, 2):
             assert list(grid.for_rank(rank)) == [0.0, 0.2, 0.7, 1.0]
@@ -150,8 +149,8 @@ class TestLearnPolicy:
         for _ in range(400):
             x = float(rng.uniform(-3, 3))
             g = int(rng.integers(1, 3))
-            recs.append(Record(x=x, g=g, w=int(x >= (-1.0 if g == 1 else 1.0)), y=1.0))
-        ds = Dataset(recs, design, min_group_size=1)
+            recs.append((x, g, int(x >= (-1.0 if g == 1 else 1.0)), 1.0))
+        ds = Dataset(*zip(*recs), design, min_group_size=1)
         learned = learn_policy(ds, LearnerConfig(seed=0, n_folds=2))
         assert learned.policy.cutoffs == {1: -1.0, 2: 1.0}
 

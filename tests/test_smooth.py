@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_local_fit
 from rdsafe import smooth
-from rdsafe.core import Dataset, EstimationError, Record, StudyDesign
+from rdsafe.core import Dataset, EstimationError, StudyDesign
 from rdsafe.estimator import make_folds
 from rdsafe.simlab import ScenarioSpec, generate
 from rdsafe.smooth import (
@@ -19,8 +19,6 @@ from rdsafe.smooth import (
     _windows,
     auto_bandwidth,
     boundary_limit,
-    fit_group_propensity,
-    fit_local_poly,
 )
 
 
@@ -35,14 +33,14 @@ class TestLocalPoly:
     @pytest.mark.parametrize("kernel", ["triangular", "epanechnikov", "uniform"])
     def test_reproduces_linear_exactly(self, kernel):
         pts = poly_points([1.5, -2.0])
-        fit = fit_local_poly(pts, LocalPolyConfig(degree=1, kernel=kernel))
+        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=1, kernel=kernel))
         q = np.linspace(-1.5, 2.5, 40)
         assert np.allclose(fit.values(q), 1.5 - 2.0 * q, atol=1e-8)
         assert np.allclose(fit.derivatives(q), -2.0, atol=1e-8)
 
     def test_reproduces_quadratic_with_degree_2(self):
         pts = poly_points([0.3, 1.0, -0.5])
-        fit = fit_local_poly(pts, LocalPolyConfig(degree=2))
+        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=2))
         q = np.linspace(-1.5, 2.5, 40)
         truth = 0.3 + 1.0 * q - 0.5 * q * q
         assert np.allclose(fit.values(q), truth, atol=1e-8)
@@ -50,9 +48,9 @@ class TestLocalPoly:
 
     def test_constant_curve(self):
         pts = poly_points([4.2])
-        fit = fit_local_poly(pts, LocalPolyConfig(degree=1))
+        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=1))
         assert abs(fit.value(0.7) - 4.2) < 1e-8
-        assert abs(fit.derivative(0.7)) < 1e-8
+        assert abs(fit.derivatives(0.7)) < 1e-8
 
     def test_too_few_distinct_points(self):
         with pytest.raises(EstimationError, match="distinct"):
@@ -64,11 +62,12 @@ class TestLocalPoly:
 
     def test_fixed_bandwidth_used(self):
         pts = poly_points([0.0, 1.0])
-        fit = fit_local_poly(pts, LocalPolyConfig(bandwidth=0.5))
+        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(bandwidth=0.5))
         assert fit.bandwidth == 0.5
 
     def test_scalar_query_returns_float(self):
-        fit = fit_local_poly(poly_points([0.0, 1.0]))
+        pts = poly_points([0.0, 1.0])
+        fit = CurveFit(pts[:, 0], pts[:, 1])
         assert isinstance(fit.value(1.0), float)
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -91,7 +90,7 @@ class TestLocalPoly:
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5), seed=st.integers(0, 1000))
     def test_affine_reproduction_property(self, a, b, seed):
         pts = poly_points([a, b], seed=seed)
-        fit = fit_local_poly(pts, LocalPolyConfig(degree=1))
+        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=1))
         q = np.linspace(-1.0, 2.0, 11)
         assert np.allclose(fit.values(q), a + b * q, atol=1e-7)
 
@@ -303,16 +302,14 @@ def two_group_dataset(n=300, seed=0, sep=False):
     else:
         g = np.where(rng.random(n) < 1 / (1 + np.exp(-0.3 * x)), 2, 1)
     design = StudyDesign({1: -5.0, 2: 5.0})
-    cuts = {1: -5.0, 2: 5.0}
-    recs = [Record(x=float(xi), g=int(gi), w=int(xi >= cuts[int(gi)]), y=0.0)
-            for xi, gi in zip(x, g)]
-    return Dataset(recs, design, min_group_size=10)
+    w = (x >= np.where(g == 1, -5.0, 5.0)).astype(int)
+    return Dataset(x, g, w, np.zeros(n), design, min_group_size=10)
 
 
 class TestPropensity:
     def test_probabilities_sum_to_one_and_respect_clamp(self):
         ds = two_group_dataset()
-        model = fit_group_propensity(ds, clamp_eps=0.01)
+        model = _fit_propensity_arrays(ds.x, ds.rank, ds.design.q, clamp_eps=0.01)
         p = model.probabilities(np.linspace(-10, 10, 101))
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert (p >= 0.01 - 1e-12).all() and (p <= 0.99 + 1e-12).all()
@@ -322,14 +319,14 @@ class TestPropensity:
         with warnings.catch_warnings():
             # divergent coefficients may or may not trip the convergence warning
             warnings.simplefilter("ignore", RuntimeWarning)
-            model = fit_group_propensity(ds, clamp_eps=0.02)
+            model = _fit_propensity_arrays(ds.x, ds.rank, ds.design.q, clamp_eps=0.02)
         p = model.probabilities(np.array([-10.0, 10.0]))
         assert (p >= 0.02 - 1e-12).all()
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_loglik_path_monotone(self):
         ds = two_group_dataset()
-        model = fit_group_propensity(ds)
+        model = _fit_propensity_arrays(ds.x, ds.rank, ds.design.q)
         path = np.asarray(model.loglik_path)
         assert (np.diff(path) >= -1e-9).all()
         assert model.converged
@@ -347,7 +344,7 @@ class TestPropensity:
 
     def test_recovers_logistic_truth(self):
         ds = two_group_dataset(n=4000, seed=1)
-        model = fit_group_propensity(ds)
+        model = _fit_propensity_arrays(ds.x, ds.rank, ds.design.q)
         x = np.linspace(-8, 8, 41)
         truth = 1 / (1 + np.exp(-0.3 * x))
         est = model.probabilities(x)[:, 1]
@@ -355,9 +352,9 @@ class TestPropensity:
 
     def test_tiny_group_rejected(self):
         design = StudyDesign({1: -5.0, 2: 5.0})
-        recs = [Record(x=float(v), g=1, w=int(v >= -5), y=0.0)
+        recs = [(float(v), 1, int(v >= -5), 0.0)
                 for v in np.linspace(-9, 9, 30)]
-        recs += [Record(x=6.0, g=2, w=1, y=0.0), Record(x=7.0, g=2, w=1, y=0.0)]
-        ds = Dataset(recs, design, min_group_size=2)
+        recs += [(6.0, 2, 1, 0.0), (7.0, 2, 1, 0.0)]
+        ds = Dataset(*zip(*recs), design, min_group_size=2)
         with pytest.raises(EstimationError, match="fewer"):
-            fit_group_propensity(ds)
+            _fit_propensity_arrays(ds.x, ds.rank, ds.design.q)
