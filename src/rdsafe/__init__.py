@@ -27,8 +27,7 @@ from .estimator import (
 from .idbounds import (
     BoundModel,
     DifferenceCurve,
-    SmoothnessParams,
-    build_bound_model,
+    fit_bound_model,
     worst_case_xi2,
 )
 from .learner import (

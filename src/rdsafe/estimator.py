@@ -90,16 +90,11 @@ def oracle_nuisances(dataset: Dataset, mean_fn, propensity_fn) -> NuisanceTable:
     return NuisanceTable(table["above"], table["below"], propensity)
 
 
-def fit_crossfit_nuisances(
-    dataset: Dataset,
-    folds: FoldAssignment,
-    mean_config: LocalPolyConfig | None = None,
-    propensity_degree: int = 3,
-    clamp_eps: float = 0.01,
-) -> NuisanceTable:
-    """Fit K propensity models and K x Q per-side mean curves, each excluding
-    its fold, and evaluate each on its fold's records."""
-    mean_config = mean_config or LocalPolyConfig(degree=1)
+def fit_crossfit_nuisances(dataset: Dataset, folds: FoldAssignment,
+                           clamp_eps: float = 0.01) -> NuisanceTable:
+    """Fit K propensity models (cubic softmax) and K x Q per-side local-linear
+    mean curves, each excluding its fold, and evaluate each on its fold's
+    records."""
     design = dataset.design
     n, q = len(dataset), design.q
     x = dataset.x
@@ -118,7 +113,7 @@ def fit_crossfit_nuisances(
                 # the curves jump at the cutoff, so each side is fit on its own
                 sel = in_group & ((x >= cut) if side == "above" else (x < cut))
                 try:
-                    fit = CurveFit(x[sel], dataset.y[sel], mean_config)
+                    fit = CurveFit(x[sel], dataset.y[sel], LocalPolyConfig(degree=1))
                     table[side][rows, rank - 1] = fit.values(x[rows])
                 except EstimationError as exc:
                     raise EstimationError(
@@ -128,7 +123,7 @@ def fit_crossfit_nuisances(
         try:
             prop = _fit_propensity_arrays(
                 x[train], dataset.rank[train], q,
-                basis_degree=propensity_degree, clamp_eps=clamp_eps,
+                basis_degree=3, clamp_eps=clamp_eps,
             )
         except EstimationError as exc:
             raise EstimationError(f"fold {k}: {exc}") from exc
@@ -175,8 +170,9 @@ def interval_index(x: np.ndarray, design) -> np.ndarray:
     return np.minimum(r, design.q - 1)
 
 
-def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable, cost: float = 0.0) -> DRScores:
-    """Doubly-robust scores for every record and group under utility y - cost*w."""
+def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable) -> DRScores:
+    """Doubly-robust scores for every record and group on the raw outcome;
+    `DRScores.with_cost` applies a treatment cost."""
     design = dataset.design
     cuts = design.sorted_cutoffs
     q = design.q
@@ -213,7 +209,7 @@ def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable, cost: float = 
         vals[own] = m_hi[own]
         vals[ref] = (e[rows[ref], g - 1] / e_jp[ref]) * (y[ref] - m_hi[ref])
         gamma0[sub, g - 1] = vals
-    return DRScores(gamma1, gamma0, own1).with_cost(cost)
+    return DRScores(gamma1, gamma0, own1)
 
 
 def identified_component(

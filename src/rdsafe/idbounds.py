@@ -2,9 +2,13 @@
 
 For each treatment arm and ordered group pair, a two-stage pseudo-outcome
 regression recovers the observable difference curve on the region where both
-groups share that treatment status. Its one-sided value at the nearest
-baseline cutoff anchors Lipschitz envelopes whose slope (the smoothness
-parameter) is read off the curve's own first derivative.
+groups share that treatment status. Its one-sided value d0 at the nearest
+baseline cutoff anchors Lipschitz envelopes d0 -/+ M * lambda * |x - anchor|,
+whose base slope lambda is read off the curve's own first derivative.
+
+d0 and lambda depend only on the data, so `fit_bound_model` fits them once per
+dataset. The multiplier M is the analyst's sensitivity choice and only scales
+lambda (`BoundModel.with_multiplier`).
 """
 from __future__ import annotations
 
@@ -82,12 +86,8 @@ class DifferenceCurve:
     anchor_cutoff: float
 
 
-def fit_difference_curve(
-    x, phi, w: int, g: int, gp: int, design: StudyDesign,
-    config: LocalPolyConfig | None = None,
-) -> DifferenceCurve:
+def fit_difference_curve(x, phi, w: int, g: int, gp: int, design: StudyDesign) -> DifferenceCurve:
     """Local quadratic regression of pseudo-outcomes on x inside the region."""
-    config = config or LocalPolyConfig(degree=2)
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if x.size < 5:
@@ -95,7 +95,7 @@ def fit_difference_curve(
             f"difference curve for (w={w}, g={g}, g'={gp}) needs at least 5 "
             f"pseudo-outcome pairs, got {x.size}"
         )
-    curve = CurveFit(x, phi, config)
+    curve = CurveFit(x, phi, LocalPolyConfig(degree=2))
     anchor_cut = design.cutoff_of_rank(anchor_rank(w, g, gp))
     if w == 1:
         region = (anchor_cut, float(x.max()))
@@ -115,50 +115,49 @@ def boundary_difference(curve: DifferenceCurve) -> float:
 # Fraction of the identified range excluded at each end of the derivative grid;
 # derivative estimates at the extreme edges of local fits are unstable.
 LAMBDA_EDGE_BUFFER = 0.05
+# Points of the grid on which the derivative is scanned.
+LAMBDA_GRID_SIZE = 50
 
 
-def select_smoothness(curve: DifferenceCurve, grid_size: int = 50, multiplier: float = 1.0) -> float:
-    """Smoothness parameter: multiplier times the max |first derivative| on a grid."""
-    if grid_size < 2:
-        raise ValueError(f"grid size must be at least 2, got {grid_size}")
+def select_smoothness(curve: DifferenceCurve) -> float:
+    """Base smoothness parameter: the max |first derivative| on a grid."""
     lo, hi = curve.curve.support
     lo = max(lo, curve.region[0])
     hi = min(hi, curve.region[1])
     buf = LAMBDA_EDGE_BUFFER * (hi - lo)
-    grid = np.linspace(lo + buf, hi - buf, grid_size)
+    grid = np.linspace(lo + buf, hi - buf, LAMBDA_GRID_SIZE)
     derivs = curve.curve.derivatives(grid)
-    return float(multiplier * np.max(np.abs(derivs)))
-
-
-@dataclass(frozen=True)
-class SmoothnessParams:
-    """Base smoothness estimates per (w, g, g') and a global multiplier."""
-
-    lam: dict
-    multiplier: float = 1.0
-
-    def effective(self, w: int, g: int, gp: int) -> float:
-        return self.multiplier * self.lam[(w, g, gp)]
+    return float(np.max(np.abs(derivs)))
 
 
 class BoundModel:
     """Pointwise Lipschitz envelopes around the boundary difference estimates.
 
-    lower/upper(w, x, g, g') = d_boundary -/+ lambda_eff * |x - anchor cutoff|.
+    lower/upper(w, x, g, g') = d0 -/+ multiplier * lam * |x - anchor cutoff|,
+    with d0 = boundary[(w, g, g')] and lam = lam[(w, g, g')] the base
+    smoothness parameter.
     """
 
-    def __init__(self, design: StudyDesign, boundary: dict, params: SmoothnessParams):
+    def __init__(self, design: StudyDesign, boundary: dict, lam: dict, multiplier: float = 1.0):
+        missing = set(boundary) - set(lam)
+        if missing:
+            raise EstimationError(f"smoothness parameters missing for pairs {sorted(missing)}")
         q = design.q
         self.design = design
         self.boundary = dict(boundary)
-        self.params = params
+        self.lam = dict(lam)
+        self.multiplier = multiplier
         self._d0 = {0: np.full((q + 1, q + 1), np.nan), 1: np.full((q + 1, q + 1), np.nan)}
         self._lam = {0: np.full((q + 1, q + 1), np.nan), 1: np.full((q + 1, q + 1), np.nan)}
         self._anchor = {0: np.full((q + 1, q + 1), np.nan), 1: np.full((q + 1, q + 1), np.nan)}
         for (w, g, gp), d0 in boundary.items():
             self._d0[w][g, gp] = d0
-            self._lam[w][g, gp] = params.effective(w, g, gp)
+            self._lam[w][g, gp] = multiplier * lam[(w, g, gp)]
             self._anchor[w][g, gp] = design.cutoff_of_rank(anchor_rank(w, g, gp))
+
+    def with_multiplier(self, multiplier: float) -> "BoundModel":
+        """The same envelopes with every base lambda scaled by `multiplier`."""
+        return BoundModel(self.design, self.boundary, self.lam, multiplier)
 
     def _lookup(self, w, x, g, gp, sign):
         x = np.asarray(x, dtype=float)
@@ -182,7 +181,7 @@ class BoundModel:
         return float(out) if np.ndim(x) == 0 and np.ndim(g) == 0 else out
 
     def max_half_width(self, x) -> np.ndarray:
-        """Largest envelope half-width lambda_eff * |x - anchor cutoff| over all
+        """Largest envelope half-width multiplier * lam * |x - anchor cutoff| over all
         bounded pairs, at each x."""
         x = np.asarray(x, dtype=float)
         worst = np.zeros(x.shape)
@@ -206,54 +205,22 @@ class BoundModel:
         return out.getvalue()
 
 
-def fit_all_difference_curves(
-    dataset: Dataset, nuisances, config: LocalPolyConfig | None = None
-) -> dict:
-    """Fit difference curves for every required (w, g, g') pair."""
-    curves = {}
+def fit_bound_model(dataset: Dataset, nuisances: NuisanceTable) -> BoundModel:
+    """Fit every required pair's difference curve once and read off its
+    boundary value d0 and base smoothness lambda; the envelopes are at M = 1."""
+    boundary, lam = {}, {}
     for (w, g, gp) in required_pairs(dataset.design):
         try:
             x, phi = difference_pseudo_outcomes(dataset, nuisances, w, g, gp)
-            curves[(w, g, gp)] = fit_difference_curve(x, phi, w, g, gp, dataset.design, config)
+            curve = fit_difference_curve(x, phi, w, g, gp, dataset.design)
+            boundary[(w, g, gp)] = boundary_difference(curve)
+            lam[(w, g, gp)] = select_smoothness(curve)
         except EstimationError as exc:
             raise EstimationError(
                 f"could not estimate the difference curve for pair "
                 f"(w={w}, g={g}, g'={gp}): {exc}"
             ) from exc
-    return curves
-
-
-def estimate_smoothness(curves: dict, grid_size: int = 50, multiplier: float = 1.0) -> SmoothnessParams:
-    """Data-driven base smoothness parameters from fitted difference curves."""
-    lam = {key: select_smoothness(c, grid_size=grid_size, multiplier=1.0) for key, c in curves.items()}
-    return SmoothnessParams(lam=lam, multiplier=multiplier)
-
-
-def build_bound_model(
-    dataset: Dataset,
-    nuisances,
-    params: SmoothnessParams | None = None,
-    *,
-    curves: dict | None = None,
-    curve_config: LocalPolyConfig | None = None,
-    grid_size: int = 50,
-    multiplier: float = 1.0,
-) -> BoundModel:
-    """Estimate boundary differences and assemble the empirical bound envelopes.
-
-    If `params` is omitted the smoothness parameters are selected from the
-    fitted curves' first derivatives; pass precomputed `curves` to avoid
-    refitting during sensitivity sweeps.
-    """
-    if curves is None:
-        curves = fit_all_difference_curves(dataset, nuisances, curve_config)
-    boundary = {key: boundary_difference(c) for key, c in curves.items()}
-    if params is None:
-        params = estimate_smoothness(curves, grid_size=grid_size, multiplier=multiplier)
-    missing = set(boundary) - set(params.lam)
-    if missing:
-        raise EstimationError(f"smoothness parameters missing for pairs {sorted(missing)}")
-    return BoundModel(dataset.design, boundary, params)
+    return BoundModel(dataset.design, boundary, lam)
 
 
 def disagreement_terms(dataset: Dataset, policy: ThresholdPolicy, baseline: ThresholdPolicy):

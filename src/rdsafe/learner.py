@@ -17,7 +17,6 @@ import numpy as np
 from .core import Dataset, StudyDesign, ThresholdPolicy, UtilityConfig, baseline_policy
 from .estimator import (
     DRScores,
-    NuisanceTable,
     ValueBreakdown,
     compute_dr_scores,
     fit_crossfit_nuisances,
@@ -25,14 +24,7 @@ from .estimator import (
     make_folds,
     value_breakdown,
 )
-from .idbounds import (
-    BoundModel,
-    SmoothnessParams,
-    build_bound_model,
-    estimate_smoothness,
-    fit_all_difference_curves,
-)
-from .smooth import LocalPolyConfig
+from .idbounds import BoundModel, fit_bound_model
 
 # Two candidates within this absolute objective tolerance count as tied and
 # the one nearest the baseline cutoff wins.
@@ -87,8 +79,7 @@ def _parse_uniform(mode: str) -> int:
     return m
 
 
-def _record_contributions(dataset: Dataset, rank: int, baseline: ThresholdPolicy,
-                          scores: DRScores, bounds: BoundModel,
+def _record_contributions(dataset: Dataset, rank: int, scores: DRScores, bounds: BoundModel,
                           utility: UtilityConfig | None):
     """Per-record objective contributions under pi_i=1 (a) and pi_i=0 (b).
 
@@ -130,14 +121,14 @@ def _record_contributions(dataset: Dataset, rank: int, baseline: ThresholdPolicy
 
 
 def _candidate_values(dataset: Dataset, rank: int, candidates: np.ndarray,
-                      baseline: ThresholdPolicy, scores: DRScores, bounds: BoundModel,
+                      scores: DRScores, bounds: BoundModel,
                       utility: UtilityConfig | None) -> np.ndarray:
     """Objective contribution of group `rank` at each candidate cutoff.
 
     pi_i = 1(x_i >= c) flips a record from b_i to a_i, so sorting once and
     taking suffix sums of (a - b) evaluates the whole grid in O(n log n).
     """
-    a, b = _record_contributions(dataset, rank, baseline, scores, bounds, utility)
+    a, b = _record_contributions(dataset, rank, scores, bounds, utility)
     order = np.argsort(dataset.x, kind="stable")
     xs = dataset.x[order]
     diff = (a - b)[order]
@@ -148,16 +139,17 @@ def _candidate_values(dataset: Dataset, rank: int, candidates: np.ndarray,
 
 
 def group_objective(dataset: Dataset, rank: int, candidate: float,
-                    baseline: ThresholdPolicy, scores: DRScores, bounds: BoundModel,
+                    scores: DRScores, bounds: BoundModel,
                     utility: UtilityConfig | None = None) -> float:
-    """Contribution of group `rank` to the worst-case objective at one cutoff."""
+    """Contribution of group `rank` to the worst-case objective at one cutoff,
+    against the baseline that keeps every group's own cutoff."""
     design = dataset.design
     if not design.c_min <= candidate <= design.c_max:
         raise ValueError(
             f"candidate cutoff {candidate} outside [{design.c_min}, {design.c_max}]"
         )
     vals = _candidate_values(dataset, rank, np.array([float(candidate)]),
-                             baseline, scores, bounds, utility)
+                             scores, bounds, utility)
     return float(vals[0])
 
 
@@ -176,11 +168,7 @@ class LearnerConfig:
     grid_mode: str = "observed"
     multiplier: float = 1.0
     utility: UtilityConfig | None = None
-    mean_config: LocalPolyConfig | None = None
-    curve_config: LocalPolyConfig | None = None
-    propensity_degree: int = 3
     clamp_eps: float = 0.01
-    lambda_grid_size: int = 50
 
 
 @dataclass(frozen=True)
@@ -199,44 +187,34 @@ class LearnedPolicy:
 
 @dataclass(frozen=True)
 class PipelineComponents:
-    """Policy-independent pieces fitted once per dataset: nuisances, raw-outcome
-    DR scores (costs are applied by `DRScores.with_cost`), difference curves
-    with base smoothness, and the candidate grid."""
+    """Policy-independent pieces fitted once per dataset: raw-outcome DR scores
+    (costs are applied by `DRScores.with_cost`), the bound envelopes at M = 1
+    (multipliers are applied by `BoundModel.with_multiplier`), and the
+    candidate grid."""
 
     dataset: Dataset
     baseline: ThresholdPolicy
-    nuisances: NuisanceTable
-    curves: dict
-    base_smoothness: SmoothnessParams
     grid: CandidateGrid
     raw_scores: DRScores
+    bounds: BoundModel
 
 
 def prepare_components(dataset: Dataset, config: LearnerConfig | None = None) -> PipelineComponents:
     config = config or LearnerConfig()
     folds = make_folds(dataset, config.n_folds, config.seed)
-    nuisances = fit_crossfit_nuisances(
-        dataset, folds, mean_config=config.mean_config,
-        propensity_degree=config.propensity_degree, clamp_eps=config.clamp_eps,
-    )
-    curves = fit_all_difference_curves(dataset, nuisances, config.curve_config)
-    base = estimate_smoothness(curves, grid_size=config.lambda_grid_size)
-    grid = candidate_grid(dataset, dataset.design, config.grid_mode)
-    raw_scores = compute_dr_scores(dataset, nuisances)
+    nuisances = fit_crossfit_nuisances(dataset, folds, clamp_eps=config.clamp_eps)
     return PipelineComponents(
         dataset=dataset,
         baseline=baseline_policy(dataset.design),
-        nuisances=nuisances,
-        curves=curves,
-        base_smoothness=base,
-        grid=grid,
-        raw_scores=raw_scores,
+        bounds=fit_bound_model(dataset, nuisances),
+        grid=candidate_grid(dataset, dataset.design, config.grid_mode),
+        raw_scores=compute_dr_scores(dataset, nuisances),
     )
 
 
 def _lipschitz_diagnostic(dataset: Dataset, bounds: BoundModel) -> float:
     """Empirical width diagnostic: (2/n) sum_i max over pairs of
-    lambda_eff * |x_i - anchor cutoff|, an upper bound on how much the
+    M * lambda * |x_i - anchor cutoff|, an upper bound on how much the
     partially identified term can move the objective."""
     x = dataset.x
     in_r = (x >= dataset.design.c_min) & (x <= dataset.design.c_max)
@@ -246,19 +224,18 @@ def _lipschitz_diagnostic(dataset: Dataset, bounds: BoundModel) -> float:
 def learn_from_components(components: PipelineComponents,
                           multiplier: float = 1.0,
                           utility: UtilityConfig | None = None) -> LearnedPolicy:
-    """Grid search using prefitted nuisances; only M and C vary per call."""
+    """Grid search on prefitted components; only M and C vary per call."""
     dataset = components.dataset
     design = dataset.design
     baseline = components.baseline
     cost = utility.cost if utility is not None else 0.0
     scores = components.raw_scores.with_cost(cost)
-    params = SmoothnessParams(lam=components.base_smoothness.lam, multiplier=multiplier)
-    bounds = build_bound_model(dataset, components.nuisances, params, curves=components.curves)
+    bounds = components.bounds.with_multiplier(multiplier)
     cutoffs = {}
     tables = {}
     for rank in range(1, design.q + 1):
         cand = components.grid.for_rank(rank)
-        vals = _candidate_values(dataset, rank, cand, baseline, scores, bounds, utility)
+        vals = _candidate_values(dataset, rank, cand, scores, bounds, utility)
         cutoffs[design.label_of(rank)] = _pick(cand, vals, design.cutoff_of_rank(rank))
         tables[rank] = (cand, vals)
     policy = ThresholdPolicy(cutoffs, design)
@@ -273,7 +250,7 @@ def learn_from_components(components: PipelineComponents,
         diagnostics={
             "multiplier": multiplier,
             "cost": cost,
-            "lambda_base": dict(components.base_smoothness.lam),
+            "lambda_base": dict(components.bounds.lam),
             "lipschitz_width": _lipschitz_diagnostic(dataset, bounds),
         },
     )
@@ -302,9 +279,9 @@ class SweepRow:
 def sensitivity_sweep(dataset: Dataset, multipliers, costs,
                       config: LearnerConfig | None = None,
                       components: PipelineComponents | None = None):
-    """Relearn the policy for every (M, C) cell, reusing one set of nuisance
-    fits and base smoothness estimates. Rows are ordered by group rank, then
-    the position of M and C in the input lists."""
+    """Relearn the policy for every (M, C) cell, reusing one set of DR scores
+    and bound envelopes. Rows are ordered by group rank, then the position of
+    M and C in the input lists."""
     multipliers = list(multipliers)
     costs = list(costs)
     if not multipliers or not costs:

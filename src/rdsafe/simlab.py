@@ -8,7 +8,7 @@ B lowering the upper group's cutoff is genuinely beneficial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -238,8 +238,7 @@ def _replication_seed(master: int, scenario: str, n: int, m_index: int, rep: int
 
 
 def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
-                      mc_size: int = 500_000,
-                      learner_config: LearnerConfig | None = None) -> RegretReport:
+                      mc_size: int = 500_000) -> RegretReport:
     """Monte Carlo regret of the learned policy against baseline and oracle.
 
     Replications that fail with a package error or a singular linear solve
@@ -266,10 +265,8 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                     child = ss.generate_state(2)
                     try:
                         data = generate(spec, seed=ss)
-                        cfg = replace(learner_config or LearnerConfig(),
-                                      seed=int(child[0] % 2**31),
-                                      multiplier=float(m))
-                        learned = learn_policy(data, cfg)
+                        learned = learn_policy(data, LearnerConfig(
+                            seed=int(child[0] % 2**31), multiplier=float(m)))
                         v_hat = true_value(learned.policy, spec, draws=draws)
                     except (RdsafeError, np.linalg.LinAlgError):
                         failures += 1

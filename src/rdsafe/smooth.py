@@ -17,7 +17,7 @@ by `_local_solve`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np

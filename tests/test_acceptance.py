@@ -27,10 +27,9 @@ from rdsafe.core import (
     serialize_dataset,
 )
 from rdsafe.estimator import compute_dr_scores, dr_component, oracle_nuisances, value_breakdown
-from rdsafe.idbounds import BoundModel, SmoothnessParams
+from rdsafe.idbounds import BoundModel
 from rdsafe.learner import (
     LearnerConfig,
-    candidate_grid,
     group_objective,
     learn_from_components,
     prepare_components,
@@ -166,9 +165,9 @@ class TestCriterion5BruteForceEquivalence:
             design = ds.design
             nus = oracle_nuisances(ds, mean_fn, prop_fn)
             cost = float(rng.choice([0.0, 0.4]))
-            scores = compute_dr_scores(ds, nus, cost=cost)
+            scores = compute_dr_scores(ds, nus).with_cost(cost)
             boundary, lam, anchors = random_bounds(design, seed + 10_000)
-            bounds = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+            bounds = BoundModel(design, boundary, lam)
             base = baseline_policy(design)
             util = UtilityConfig(cost=cost)
             policy = ThresholdPolicy(
@@ -184,8 +183,8 @@ class TestCriterion5BruteForceEquivalence:
             per_group = {}
             for label in design.groups:
                 rank = design.rank_of(label)
-                vals = np.array([group_objective(ds, rank, float(c), base,
-                                                 scores, bounds, util) for c in grid])
+                vals = np.array([group_objective(ds, rank, float(c), scores, bounds, util)
+                                 for c in grid])
                 per_group[label] = float(grid[int(np.argmax(vals))])
             best = -np.inf
             for combo in itertools.product(grid, repeat=design.q):
@@ -263,11 +262,11 @@ class TestCriterion7BoundIdentities:
             x = float(rng.uniform(-3, 3))
             d0 = float(rng.uniform(-5, 5))
             model = BoundModel(design, {(1, 2, 1): d0, (0, 1, 2): 0.0},
-                               SmoothnessParams(lam={(1, 2, 1): lam, (0, 1, 2): 0.0}))
+                               {(1, 2, 1): lam, (0, 1, 2): 0.0})
             width = model.upper(1, x, 2, 1) - model.lower(1, x, 2, 1)
             worst = max(worst, abs(width - 2 * lam * abs(x - design_cut)))
             zero = BoundModel(design, {(1, 2, 1): d0, (0, 1, 2): 0.0},
-                              SmoothnessParams(lam={(1, 2, 1): 0.0, (0, 1, 2): 0.0}))
+                              {(1, 2, 1): 0.0, (0, 1, 2): 0.0})
             collapse_ok &= zero.lower(1, x, 2, 1) == zero.upper(1, x, 2, 1) == d0
         report(7, worst <= 1e-14 and collapse_ok,
                f"envelope width == 2*lambda*|x - anchor| (worst error {worst:.1e}) "

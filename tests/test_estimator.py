@@ -20,7 +20,7 @@ from rdsafe.estimator import (
     oracle_nuisances,
     value_breakdown,
 )
-from rdsafe.idbounds import BoundModel, SmoothnessParams
+from rdsafe.idbounds import BoundModel
 from rdsafe.smooth import CurveFit, LocalPolyConfig
 
 
@@ -116,8 +116,8 @@ class TestDRScores:
         ds, mean_fn, prop_fn = random_toy(3)
         nus = oracle_nuisances(ds, mean_fn, prop_fn)
         c = 0.7
-        shifted = compute_dr_scores(ds, nus, cost=c)
-        plain = compute_dr_scores(ds, nus, cost=0.0)
+        shifted = compute_dr_scores(ds, nus).with_cost(c)
+        plain = compute_dr_scores(ds, nus)
         # gamma1 own terms shift by exactly -c, correction terms unchanged;
         # gamma0 is unchanged
         assert np.array_equal(shifted.gamma0, plain.gamma0)
@@ -137,9 +137,9 @@ class TestComponentsAgainstBruteForce:
             design = ds.design
             nus = oracle_nuisances(ds, mean_fn, prop_fn)
             cost = float(rng.choice([0.0, 0.3]))
-            scores = compute_dr_scores(ds, nus, cost=cost)
+            scores = compute_dr_scores(ds, nus).with_cost(cost)
             boundary, lam, anchors = random_bounds(design, seed + 1000)
-            bounds = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+            bounds = BoundModel(design, boundary, lam)
             base = baseline_policy(design)
             cutoffs = {label: float(rng.uniform(design.c_min, design.c_max))
                        for label in design.groups}

@@ -11,21 +11,18 @@ from rdsafe.core import (
     ThresholdPolicy,
     baseline_policy,
 )
-from rdsafe.estimator import compute_dr_scores, oracle_nuisances
+from rdsafe.estimator import oracle_nuisances
 from rdsafe.idbounds import (
     BoundModel,
-    SmoothnessParams,
     anchor_rank,
     boundary_difference,
-    build_bound_model,
     difference_pseudo_outcomes,
-    fit_all_difference_curves,
+    fit_bound_model,
     fit_difference_curve,
     required_pairs,
     select_smoothness,
     worst_case_xi2,
 )
-from rdsafe.smooth import LocalPolyConfig
 
 
 class TestAnchorRule:
@@ -160,7 +157,7 @@ class TestDifferenceCurve:
         curve = fit_difference_curve(x, phi, 1, 2, 1, design)
         grid = np.linspace(5.5, 11.5, 11)
         assert np.allclose(curve.curve.derivatives(grid), 0.4, atol=1e-8)
-        assert select_smoothness(curve, multiplier=2.0) == pytest.approx(0.8, abs=1e-6)
+        assert select_smoothness(curve) == pytest.approx(0.4, abs=1e-6)
 
     def test_too_few_pairs(self):
         design = StudyDesign({1: -5.0, 2: 5.0})
@@ -172,7 +169,12 @@ class TestDifferenceCurve:
         phi = np.sin(x)
         design = StudyDesign({1: -5.0, 2: 5.0})
         curve = fit_difference_curve(x, phi, 1, 2, 1, design)
-        assert select_smoothness(curve, multiplier=0.0) == 0.0
+        d0 = boundary_difference(curve)
+        model = BoundModel(design, {(1, 2, 1): d0}, {(1, 2, 1): select_smoothness(curve)})
+        assert model.lower(1, 8.0, 2, 1) < model.upper(1, 8.0, 2, 1)
+        collapsed = model.with_multiplier(0.0)
+        for x in (5.0, 8.0, 12.0):
+            assert collapsed.lower(1, x, 2, 1) == collapsed.upper(1, x, 2, 1) == d0
 
     def test_boundary_value_on_linear_curve(self):
         x = np.linspace(5, 12, 80)
@@ -189,7 +191,7 @@ class TestBoundModel:
         design = StudyDesign({1: 0.0, 2: 1.0})
         boundary = {(1, 2, 1): 0.5, (0, 1, 2): 0.0}
         lam = {(1, 2, 1): 0.1, (0, 1, 2): 0.0}
-        model = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+        model = BoundModel(design, boundary, lam)
         assert model.lower(1, 0.4, 2, 1) == pytest.approx(0.44)
         assert model.upper(1, 0.4, 2, 1) == pytest.approx(0.56)
 
@@ -197,7 +199,7 @@ class TestBoundModel:
         design = StudyDesign({1: 0.0, 2: 1.0})
         boundary = {(1, 2, 1): 0.5, (0, 1, 2): -0.2}
         lam = {(1, 2, 1): 0.0, (0, 1, 2): 0.0}
-        model = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+        model = BoundModel(design, boundary, lam)
         for x in (0.0, 0.3, 1.0):
             assert model.lower(1, x, 2, 1) == model.upper(1, x, 2, 1) == 0.5
 
@@ -208,29 +210,47 @@ class TestBoundModel:
         design = StudyDesign({1: 0.0, 2: 1.0})
         boundary = {(1, 2, 1): d0, (0, 1, 2): 0.0}
         lams = {(1, 2, 1): lam, (0, 1, 2): 0.0}
-        model = BoundModel(design, boundary, SmoothnessParams(lam=lams, multiplier=mult))
-        width = model.upper(1, x, 2, 1) - model.lower(1, x, 2, 1)
-        assert width == pytest.approx(2 * mult * lam * abs(x - 1.0), abs=1e-14, rel=1e-12)
+        for model in (BoundModel(design, boundary, lams, mult),
+                      BoundModel(design, boundary, lams).with_multiplier(mult)):
+            width = model.upper(1, x, 2, 1) - model.lower(1, x, 2, 1)
+            assert width == pytest.approx(2 * mult * lam * abs(x - 1.0), abs=1e-14, rel=1e-12)
 
     def test_missing_pair_named(self):
         design = StudyDesign({1: 0.0, 2: 1.0})
         boundary = {(1, 2, 1): 0.5}
         lam = {(1, 2, 1): 0.1}
-        model = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+        model = BoundModel(design, boundary, lam)
         with pytest.raises(EstimationError, match="w=0"):
             model.lower(0, 0.5, 1, 2)
+
+    def test_missing_lambda_rejected(self):
+        design = StudyDesign({1: 0.0, 2: 1.0})
+        boundary = {(1, 2, 1): 0.5, (0, 1, 2): 0.0}
+        with pytest.raises(EstimationError, match=r"missing for pairs \[\(0, 1, 2\)\]"):
+            BoundModel(design, boundary, {(1, 2, 1): 0.1})
+
+    def test_with_multiplier_keeps_base_estimates(self):
+        design = StudyDesign({1: 0.0, 2: 1.0})
+        boundary = {(1, 2, 1): 0.5, (0, 1, 2): -0.2}
+        lam = {(1, 2, 1): 0.1, (0, 1, 2): 0.3}
+        base = BoundModel(design, boundary, lam)
+        scaled = base.with_multiplier(2.5)
+        assert (scaled.boundary, scaled.lam, scaled.multiplier) == (boundary, lam, 2.5)
+        assert base.multiplier == 1.0
+        assert scaled.lower(0, 0.2, 1, 2) == -0.2 - 2.5 * 0.3 * 0.2
+        assert base.lower(0, 0.2, 1, 2) == -0.2 - 0.3 * 0.2
 
     def test_export_csv_shape(self):
         design = StudyDesign({1: 0.0, 2: 1.0})
         boundary = {(1, 2, 1): 0.5, (0, 1, 2): -0.2}
         lam = {(1, 2, 1): 0.1, (0, 1, 2): 0.3}
-        model = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+        model = BoundModel(design, boundary, lam)
         lines = model.export_curves_csv(grid_size=11).splitlines()
         assert lines[0] == "w,g,g_ref,x,b_lower,b_upper"
         assert len(lines) == 1 + 2 * 11
 
 
-class TestBuildBoundModel:
+class TestFitBoundModel:
     def test_recovers_linear_difference(self):
         # d(x) = m(x,2) - m(x,1) = 2 everywhere; average boundary estimates
         # over seeds to wash out the one-sided local-fit noise
@@ -238,7 +258,7 @@ class TestBuildBoundModel:
         for seed in range(8):
             ds = region_dataset(seed=seed, n=1200)
             nus = oracle_for(ds)
-            model = build_bound_model(ds, nus)
+            model = fit_bound_model(ds, nus)
             hi.append(model.boundary[(1, 2, 1)])
             lo.append(model.boundary[(0, 1, 2)])
         assert np.mean(hi) == pytest.approx(2.0, abs=0.1)
@@ -249,7 +269,7 @@ class TestBuildBoundModel:
         small = subset(ds, ds.x > -5.0)
         nus = oracle_for(small)
         with pytest.raises(EstimationError, match=r"\(w=0, g=1, g'=2\)"):
-            fit_all_difference_curves(small, nus)
+            fit_bound_model(small, nus)
 
 
 class TestWorstCaseXi2:
@@ -257,7 +277,7 @@ class TestWorstCaseXi2:
         for seed in range(5):
             ds, mean_fn, prop_fn = random_toy(seed)
             boundary, lam, anchors = random_bounds(ds.design, seed)
-            model = BoundModel(ds.design, boundary, SmoothnessParams(lam=lam))
+            model = BoundModel(ds.design, boundary, lam)
             base = baseline_policy(ds.design)
             assert worst_case_xi2(ds, base, base, model) == 0.0
 
@@ -272,7 +292,7 @@ class TestWorstCaseXi2:
         ]
         ds = Dataset(*zip(*recs), design, min_group_size=1)
         boundary, lam, anchors = random_bounds(design, 42)
-        model = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+        model = BoundModel(design, boundary, lam)
         base = baseline_policy(design)
         policy = ThresholdPolicy({1: 2.0, 2: 0.0, 3: 0.2}, design)
         got = worst_case_xi2(ds, policy, base, model)
@@ -299,8 +319,7 @@ class TestWorstCaseXi2:
              for label in design.groups}, design)
         prev = np.inf
         for mult in (0.0, 0.5, 1.0, 2.0, 8.0):
-            model = BoundModel(design, boundary,
-                               SmoothnessParams(lam=lam, multiplier=mult))
+            model = BoundModel(design, boundary, lam, multiplier=mult)
             val = worst_case_xi2(ds, policy, base, model)
             assert val <= prev + 1e-12
             prev = val

@@ -12,7 +12,8 @@ from rdsafe.core import (
     baseline_policy,
 )
 from rdsafe.estimator import compute_dr_scores, oracle_nuisances, value_breakdown
-from rdsafe.idbounds import BoundModel, SmoothnessParams
+from rdsafe import idbounds
+from rdsafe.idbounds import BoundModel, required_pairs
 from rdsafe.learner import (
     LearnerConfig,
     candidate_grid,
@@ -61,7 +62,7 @@ def toy_problem(seed):
     nus = oracle_nuisances(ds, mean_fn, prop_fn)
     scores = compute_dr_scores(ds, nus)
     boundary, lam, _ = random_bounds(design, seed + 500)
-    bounds = BoundModel(design, boundary, SmoothnessParams(lam=lam))
+    bounds = BoundModel(design, boundary, lam)
     return ds, scores, bounds
 
 
@@ -70,10 +71,8 @@ class TestGroupObjective:
         for seed in range(5):
             ds, scores, bounds = toy_problem(seed)
             design = ds.design
-            base = baseline_policy(design)
             for rank in range(1, design.q + 1):
-                got = group_objective(ds, rank, design.cutoff_of_rank(rank),
-                                      base, scores, bounds)
+                got = group_objective(ds, rank, design.cutoff_of_rank(rank), scores, bounds)
                 want = float(np.sum(ds.y[ds.rank == rank])) / len(ds)
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -87,8 +86,7 @@ class TestGroupObjective:
                        for label in design.groups}
             policy = ThresholdPolicy(cutoffs, design)
             total = sum(
-                group_objective(ds, design.rank_of(label), cutoffs[label],
-                                base, scores, bounds)
+                group_objective(ds, design.rank_of(label), cutoffs[label], scores, bounds)
                 for label in design.groups
             )
             want = value_breakdown(ds, policy, base, scores, bounds).total
@@ -97,8 +95,7 @@ class TestGroupObjective:
     def test_out_of_span_candidate_rejected(self):
         ds, scores, bounds = toy_problem(0)
         with pytest.raises(ValueError):
-            group_objective(ds, 1, ds.design.c_max + 1, baseline_policy(ds.design),
-                            scores, bounds)
+            group_objective(ds, 1, ds.design.c_max + 1, scores, bounds)
 
 
 class TestSeparability:
@@ -113,8 +110,7 @@ class TestSeparability:
             per_group = {}
             for label in design.groups:
                 rank = design.rank_of(label)
-                vals = [group_objective(ds, rank, float(c), base, scores, bounds)
-                        for c in grid]
+                vals = [group_objective(ds, rank, float(c), scores, bounds) for c in grid]
                 per_group[label] = float(grid[int(np.argmax(vals))])
             best_joint, best_val = None, -np.inf
             for combo in itertools.product(grid, repeat=design.q):
@@ -203,3 +199,50 @@ class TestSensitivitySweep:
         direct = learn_policy(ds, LearnerConfig(seed=2, multiplier=1.0))
         assert via_sweep.policy.cutoffs == direct.policy.cutoffs
         assert via_sweep.breakdown.total == pytest.approx(direct.breakdown.total)
+
+
+@pytest.fixture(scope="module")
+def three_groups():
+    """Three groups: a shared smooth outcome, group shifts and an effect growing in x."""
+    rng = np.random.default_rng(4)
+    n = 1800
+    x = rng.uniform(-2.5, 2.5, n)
+    g = rng.integers(1, 4, n)
+    w = (x >= np.array([-1.0, 0.0, 1.0])[g - 1]).astype(int)
+    y = (0.5 * x - 0.2 * x**2 + np.array([0.0, 0.3, -0.2])[g - 1]
+         + w * (0.4 + 0.2 * x) + rng.normal(0, 0.3, n))
+    return Dataset(x, g, w, y, StudyDesign({1: -1.0, 2: 0.0, 3: 1.0}))
+
+
+class TestOneBoundModelPerDataset:
+    def test_sweep_fits_each_boundary_once(self, three_groups, monkeypatch):
+        calls = []
+        real = idbounds.boundary_limit
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(idbounds, "boundary_limit", counting)
+        rows = sensitivity_sweep(three_groups, [0.0, 1.0, 4.0], [0.0, 0.5], LearnerConfig(seed=3))
+        assert len(rows) == 3 * 3 * 2
+        assert len(calls) == len(required_pairs(three_groups.design))
+
+    def test_every_cell_equals_a_fresh_learn(self, three_groups):
+        comps = prepare_components(three_groups, LearnerConfig(seed=3))
+        for m in (0.0, 1.0, 2.5):
+            for c in (0.0, 0.4):
+                util = UtilityConfig(cost=c)
+                got = learn_from_components(comps, multiplier=m, utility=util)
+                want = learn_policy(three_groups,
+                                    LearnerConfig(seed=3, multiplier=m, utility=util))
+                assert got.policy.cutoffs == want.policy.cutoffs
+                for field in ("iden", "dr", "xi2_worst"):
+                    assert getattr(got.breakdown, field) == getattr(want.breakdown, field)
+                    assert (getattr(got.baseline_breakdown, field)
+                            == getattr(want.baseline_breakdown, field))
+                assert got.diagnostics == want.diagnostics
+                assert got.objective_tables.keys() == want.objective_tables.keys()
+                for rank, (cand, vals) in want.objective_tables.items():
+                    assert np.array_equal(got.objective_tables[rank][0], cand)
+                    assert np.array_equal(got.objective_tables[rank][1], vals)
