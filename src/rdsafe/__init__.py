@@ -17,26 +17,25 @@ from .core import (
 from .estimator import (
     DRScores,
     NuisanceTable,
-    ValueBreakdown,
     compute_dr_scores,
     fit_crossfit_nuisances,
     make_folds,
     oracle_nuisances,
-    value_breakdown,
 )
 from .idbounds import (
     BoundModel,
     DifferenceCurve,
     fit_bound_model,
-    worst_case_xi2,
 )
 from .learner import (
     CandidateGrid,
     LearnedPolicy,
     LearnerConfig,
+    ValueBreakdown,
     candidate_grid,
     learn_policy,
     sensitivity_sweep,
+    value_breakdown,
 )
 from .simlab import RegretReport, ScenarioSpec, generate, oracle_policy, true_value
 from .smooth import CurveFit, LocalPolyConfig, auto_bandwidth, boundary_limit

@@ -1,8 +1,8 @@
-"""Cross-fitting orchestration and the point-identified objective components.
+"""Cross-fitting orchestration: folds, the nuisance table and the DR scores.
 
-The empirical objective splits into the agreement term (sample analog of the
-identified value), the cross-fitted doubly-robust disagreement term built from
-per-record scores, and the partially identified term handled in `idbounds`.
+The doubly-robust scores feed the disagreement term of the empirical
+objective; `learner` combines them with the agreement term and the partially
+identified term (envelopes from `idbounds`) record by record.
 
 Nuisance conditional-mean curves are always fit on the raw observed outcome;
 cost-adjusted utilities are applied analytically downstream (the treatment is
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EstimationError, ThresholdPolicy, UtilityConfig
+from .core import Dataset, EstimationError
 from .smooth import CurveFit, LocalPolyConfig, _fit_propensity_arrays
 
 
@@ -210,63 +210,3 @@ def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable) -> DRScores:
         vals[ref] = (e[rows[ref], g - 1] / e_jp[ref]) * (y[ref] - m_hi[ref])
         gamma0[sub, g - 1] = vals
     return DRScores(gamma1, gamma0, own1)
-
-
-def identified_component(
-    dataset: Dataset,
-    policy: ThresholdPolicy,
-    baseline: ThresholdPolicy,
-    utility: UtilityConfig | None = None,
-) -> float:
-    """Sample mean of the utility where the policy agrees with the baseline."""
-    pi = policy.indicator(dataset.x, dataset.rank)
-    tilde = baseline.indicator(dataset.x, dataset.rank)
-    y = dataset.utility_outcomes(utility)
-    return float(np.sum(np.where(pi == tilde, y, 0.0)) / len(dataset))
-
-
-def dr_component(
-    dataset: Dataset,
-    policy: ThresholdPolicy,
-    baseline: ThresholdPolicy,
-    scores: DRScores,
-) -> float:
-    """Cross-fitted doubly-robust estimate of the identifiable disagreement value."""
-    acc = np.zeros(len(dataset))
-    for g in range(1, dataset.design.q + 1):
-        pi_g = dataset.x >= policy.cutoff_by_rank[g - 1]
-        tp_g = dataset.x >= dataset.design.sorted_cutoffs[g - 1]
-        acc += np.where(pi_g & ~tp_g, scores.gamma1[:, g - 1], 0.0)
-        acc += np.where(~pi_g & tp_g, scores.gamma0[:, g - 1], 0.0)
-    return float(np.sum(acc) / len(dataset))
-
-
-@dataclass(frozen=True)
-class ValueBreakdown:
-    """The three objective components and their sum."""
-
-    iden: float
-    dr: float
-    xi2_worst: float
-
-    @property
-    def total(self) -> float:
-        return self.iden + self.dr + self.xi2_worst
-
-
-def value_breakdown(
-    dataset: Dataset,
-    policy: ThresholdPolicy,
-    baseline: ThresholdPolicy,
-    scores: DRScores,
-    bounds,
-    utility: UtilityConfig | None = None,
-) -> ValueBreakdown:
-    """Worst-case empirical objective of a policy, component by component."""
-    from .idbounds import worst_case_xi2
-
-    return ValueBreakdown(
-        iden=identified_component(dataset, policy, baseline, utility),
-        dr=dr_component(dataset, policy, baseline, scores),
-        xi2_worst=worst_case_xi2(dataset, policy, baseline, bounds),
-    )

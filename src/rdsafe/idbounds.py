@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EstimationError, StudyDesign, ThresholdPolicy
-from .estimator import NuisanceTable, interval_index
+from .core import Dataset, EstimationError, StudyDesign
+from .estimator import NuisanceTable
 from .smooth import CurveFit, LocalPolyConfig, boundary_limit
 
 
@@ -221,36 +221,3 @@ def fit_bound_model(dataset: Dataset, nuisances: NuisanceTable) -> BoundModel:
                 f"(w={w}, g={g}, g'={gp}): {exc}"
             ) from exc
     return BoundModel(dataset.design, boundary, lam)
-
-
-def disagreement_terms(dataset: Dataset, policy: ThresholdPolicy, baseline: ThresholdPolicy):
-    """Per-record disagreement structure: masks and reference ranks.
-
-    Returns (newly_treated_mask, newly_untreated_mask, ref_rank) where
-    ref_rank holds the interval-determined comparison group for records inside
-    [c_1, c_Q] (the lower interval endpoint; the newly-untreated branch uses
-    ref_rank + 1).
-    """
-    design = dataset.design
-    pi = policy.indicator(dataset.x, dataset.rank)
-    tilde = baseline.indicator(dataset.x, dataset.rank)
-    newly_treated = pi & ~tilde
-    newly_untreated = ~pi & tilde
-    ref = np.zeros(len(dataset), dtype=np.int64)
-    in_r = (dataset.x >= design.c_min) & (dataset.x <= design.c_max)
-    ref[in_r] = interval_index(dataset.x[in_r], design)
-    return newly_treated, newly_untreated, ref
-
-
-def worst_case_xi2(dataset: Dataset, policy: ThresholdPolicy, baseline: ThresholdPolicy,
-                   bounds: BoundModel) -> float:
-    """Worst-case partially identified disagreement term (lower envelopes)."""
-    newly_treated, newly_untreated, ref = disagreement_terms(dataset, policy, baseline)
-    acc = np.zeros(len(dataset))
-    nt = np.flatnonzero(newly_treated)
-    if nt.size:
-        acc[nt] = bounds.lower(1, dataset.x[nt], dataset.rank[nt], ref[nt])
-    nu = np.flatnonzero(newly_untreated)
-    if nu.size:
-        acc[nu] = bounds.lower(0, dataset.x[nu], dataset.rank[nu], ref[nu] + 1)
-    return float(np.sum(acc) / len(dataset))

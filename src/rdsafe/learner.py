@@ -1,10 +1,12 @@
 """Worst-case policy learning by per-group grid search, plus sensitivity sweeps.
 
-The empirical objective decomposes record by record, and each record's
-contribution depends only on its own group's cutoff, so the joint argmax over
-the product grid equals the per-group argmaxes. The fast path precomputes each
-record's contribution under treat/no-treat and reduces every candidate to a
-prefix-sum lookup.
+The empirical objective is a sum of per-record, per-group contributions, and
+group g's contributions depend only on g's cutoff, so the joint argmax over
+the product grid equals the per-group argmaxes. `_record_contributions` gives
+each record's identified, DR and worst-case xi2 terms under treat/no-treat for
+one group. The grid search reduces every candidate to a suffix-sum lookup on
+them, and `value_breakdown` picks each record's branch at a policy's cutoffs
+from the same arrays, so the objective is computed in one place.
 """
 from __future__ import annotations
 
@@ -14,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, StudyDesign, ThresholdPolicy, UtilityConfig, baseline_policy
+from .core import Dataset, StudyDesign, ThresholdPolicy, UtilityConfig
 from .estimator import (
     DRScores,
-    ValueBreakdown,
     compute_dr_scores,
     fit_crossfit_nuisances,
     interval_index,
     make_folds,
-    value_breakdown,
 )
 from .idbounds import BoundModel, fit_bound_model
 
@@ -83,26 +83,27 @@ def _record_contributions(dataset: Dataset, rank: int, scores: DRScores, bounds:
                           utility: UtilityConfig | None):
     """Per-record objective contributions under pi_i=1 (a) and pi_i=0 (b).
 
-    Covers all records, not just group `rank`: other groups' records enter the
-    DR term for this group through the reference-group IPW pieces, but their
-    agreement and partially identified terms belong to their own group search.
+    Each is a (3, n) array whose rows are the identified, DR and worst-case
+    xi2 terms. Covers all records, not just group `rank`: other groups'
+    records enter the DR term for this group through the reference-group IPW
+    pieces, but their agreement and partially identified terms belong to
+    their own group.
     """
     design = dataset.design
-    n = len(dataset)
     x = dataset.x
     # group-`rank` baseline indicator, applied to every record's x: the DR
     # scores extrapolate group-`rank` outcomes at other groups' records
     tilde = x >= design.cutoff_of_rank(rank)
     y = dataset.utility_outcomes(utility)
     own = dataset.rank == rank
-    a = np.zeros(n)
-    b = np.zeros(n)
+    a = np.zeros((3, len(dataset)))
+    b = np.zeros((3, len(dataset)))
     # agreement term: own-group records where the candidate matches baseline
-    a[own & tilde] += y[own & tilde]
-    b[own & ~tilde] += y[own & ~tilde]
+    a[0] = np.where(own & tilde, y, 0.0)
+    b[0] = np.where(own & ~tilde, y, 0.0)
     # DR disagreement term: all records carry group-`rank` scores
-    a += np.where(~tilde, scores.gamma1[:, rank - 1], 0.0)
-    b += np.where(tilde, scores.gamma0[:, rank - 1], 0.0)
+    a[1] = np.where(~tilde, scores.gamma1[:, rank - 1], 0.0)
+    b[1] = np.where(tilde, scores.gamma0[:, rank - 1], 0.0)
     # partially identified term: own-group records only, via lower envelopes
     in_r = own & (x >= design.c_min) & (x <= design.c_max)
     idx = np.flatnonzero(in_r)
@@ -112,24 +113,24 @@ def _record_contributions(dataset: Dataset, rank: int, scores: DRScores, bounds:
         newly_t = ~tilde[idx]
         if newly_t.any():
             sel = idx[newly_t]
-            a[sel] += bounds.lower(1, x[sel], gcol[newly_t], ref[newly_t])
+            a[2, sel] = bounds.lower(1, x[sel], gcol[newly_t], ref[newly_t])
         newly_u = tilde[idx]
         if newly_u.any():
             sel = idx[newly_u]
-            b[sel] += bounds.lower(0, x[sel], gcol[newly_u], ref[newly_u] + 1)
+            b[2, sel] = bounds.lower(0, x[sel], gcol[newly_u], ref[newly_u] + 1)
     return a, b
 
 
-def _candidate_values(dataset: Dataset, rank: int, candidates: np.ndarray,
-                      scores: DRScores, bounds: BoundModel,
-                      utility: UtilityConfig | None) -> np.ndarray:
-    """Objective contribution of group `rank` at each candidate cutoff.
+def _candidate_values(dataset: Dataset, a: np.ndarray, b: np.ndarray, order: np.ndarray,
+                      candidates: np.ndarray) -> np.ndarray:
+    """Objective contribution of one group at each candidate cutoff, from its
+    record contributions and the stable sort order of x.
 
-    pi_i = 1(x_i >= c) flips a record from b_i to a_i, so sorting once and
-    taking suffix sums of (a - b) evaluates the whole grid in O(n log n).
+    pi_i = 1(x_i >= c) flips a record from b_i to a_i, so suffix sums of
+    (a - b) in x order evaluate the whole grid in O(n log n).
     """
-    a, b = _record_contributions(dataset, rank, scores, bounds, utility)
-    order = np.argsort(dataset.x, kind="stable")
+    a = a.sum(axis=0)
+    b = b.sum(axis=0)
     xs = dataset.x[order]
     diff = (a - b)[order]
     total_b = float(np.sum(b))
@@ -148,9 +149,40 @@ def group_objective(dataset: Dataset, rank: int, candidate: float,
         raise ValueError(
             f"candidate cutoff {candidate} outside [{design.c_min}, {design.c_max}]"
         )
-    vals = _candidate_values(dataset, rank, np.array([float(candidate)]),
-                             scores, bounds, utility)
+    a, b = _record_contributions(dataset, rank, scores, bounds, utility)
+    vals = _candidate_values(dataset, a, b, np.argsort(dataset.x, kind="stable"),
+                             np.array([float(candidate)]))
     return float(vals[0])
+
+
+@dataclass(frozen=True)
+class ValueBreakdown:
+    """The three objective components and their sum."""
+
+    iden: float
+    dr: float
+    xi2_worst: float
+
+    @property
+    def total(self) -> float:
+        return self.iden + self.dr + self.xi2_worst
+
+
+def _breakdown(acc: np.ndarray) -> ValueBreakdown:
+    """Mean of each row of the policy's (3, n) record contributions."""
+    n = acc.shape[1]
+    return ValueBreakdown(*(float(np.sum(row) / n) for row in acc))
+
+
+def value_breakdown(dataset: Dataset, policy: ThresholdPolicy, scores: DRScores,
+                    bounds: BoundModel, utility: UtilityConfig | None = None) -> ValueBreakdown:
+    """Worst-case empirical objective of a policy against the status quo,
+    term by term."""
+    acc = np.zeros((3, len(dataset)))
+    for rank in range(1, dataset.design.q + 1):
+        a, b = _record_contributions(dataset, rank, scores, bounds, utility)
+        acc += np.where(dataset.x >= policy.cutoff_by_rank[rank - 1], a, b)
+    return _breakdown(acc)
 
 
 def _pick(candidates: np.ndarray, values: np.ndarray, baseline_cut: float) -> float:
@@ -189,11 +221,11 @@ class LearnedPolicy:
 class PipelineComponents:
     """Policy-independent pieces fitted once per dataset: raw-outcome DR scores
     (costs are applied by `DRScores.with_cost`), the bound envelopes at M = 1
-    (multipliers are applied by `BoundModel.with_multiplier`), and the
-    candidate grid."""
+    (multipliers are applied by `BoundModel.with_multiplier`), the candidate
+    grid and the stable sort order of x."""
 
     dataset: Dataset
-    baseline: ThresholdPolicy
+    order: np.ndarray
     grid: CandidateGrid
     raw_scores: DRScores
     bounds: BoundModel
@@ -205,7 +237,7 @@ def prepare_components(dataset: Dataset, config: LearnerConfig | None = None) ->
     nuisances = fit_crossfit_nuisances(dataset, folds, clamp_eps=config.clamp_eps)
     return PipelineComponents(
         dataset=dataset,
-        baseline=baseline_policy(dataset.design),
+        order=np.argsort(dataset.x, kind="stable"),
         bounds=fit_bound_model(dataset, nuisances),
         grid=candidate_grid(dataset, dataset.design, config.grid_mode),
         raw_scores=compute_dr_scores(dataset, nuisances),
@@ -227,24 +259,27 @@ def learn_from_components(components: PipelineComponents,
     """Grid search on prefitted components; only M and C vary per call."""
     dataset = components.dataset
     design = dataset.design
-    baseline = components.baseline
+    n = len(dataset)
     cost = utility.cost if utility is not None else 0.0
     scores = components.raw_scores.with_cost(cost)
     bounds = components.bounds.with_multiplier(multiplier)
     cutoffs = {}
     tables = {}
+    acc = np.zeros((3, n))
     for rank in range(1, design.q + 1):
+        a, b = _record_contributions(dataset, rank, scores, bounds, utility)
         cand = components.grid.for_rank(rank)
-        vals = _candidate_values(dataset, rank, cand, scores, bounds, utility)
-        cutoffs[design.label_of(rank)] = _pick(cand, vals, design.cutoff_of_rank(rank))
+        vals = _candidate_values(dataset, a, b, components.order, cand)
+        cut = _pick(cand, vals, design.cutoff_of_rank(rank))
+        cutoffs[design.label_of(rank)] = cut
         tables[rank] = (cand, vals)
-    policy = ThresholdPolicy(cutoffs, design)
-    breakdown = value_breakdown(dataset, policy, baseline, scores, bounds, utility)
-    base_breakdown = value_breakdown(dataset, baseline, baseline, scores, bounds, utility)
+        acc += np.where(dataset.x >= cut, a, b)
+    # the status quo never disagrees with itself: only the identified term
+    iden = float(np.sum(dataset.utility_outcomes(utility)) / n)
     return LearnedPolicy(
-        policy=policy,
-        breakdown=breakdown,
-        baseline_breakdown=base_breakdown,
+        policy=ThresholdPolicy(cutoffs, design),
+        breakdown=_breakdown(acc),
+        baseline_breakdown=ValueBreakdown(iden, 0.0, 0.0),
         objective_tables=tables,
         bounds=bounds,
         diagnostics={

@@ -211,7 +211,10 @@ def dense_local_fit(x, y, queries, degree, kernel, h):
 
     For each chunk of 64 sorted queries, every training point within reach is
     weighted for every query of the chunk, and each query's normal equations
-    are summed term by term. A query with fewer than degree + 2 weighted
+    are summed term by term, each sum along a contiguous row so that numpy
+    sums it pairwise (a column sum adds row by row, and near the ends of the
+    data that rounding error, amplified by the solve, reached 3e-10 of the
+    derivative). A query with fewer than degree + 2 weighted
     points or with |det G| < 1e-12 G[0, 0]^p is solved by
     `dense_widened_solve`; a query that fails there gets NaN.
     """
@@ -229,18 +232,18 @@ def dense_local_fit(x, y, queries, degree, kernel, h):
         q = queries[idx]
         lo = np.searchsorted(x, q.min() - h, side="left")
         hi = np.searchsorted(x, q.max() + h, side="right")
-        u = (x[lo:hi, None] - q[None, :]) / h
+        u = (x[None, lo:hi] - q[:, None]) / h
         wts = dense_kernel_weights(u, kernel)
-        counts = (wts > 0).sum(axis=0)
+        counts = (wts > 0).sum(axis=1)
         basis = [np.ones_like(u)]
         for _ in range(1, p):
             basis.append(basis[-1] * u)
         gram = np.empty((q.size, p, p))
         rhs = np.empty((q.size, p))
         for i in range(p):
-            rhs[:, i] = (basis[i] * wts * y[lo:hi, None]).sum(axis=0)
+            rhs[:, i] = (basis[i] * wts * y[None, lo:hi]).sum(axis=1)
             for j in range(p):
-                gram[:, i, j] = (basis[i] * wts * basis[j]).sum(axis=0)
+                gram[:, i, j] = (basis[i] * wts * basis[j]).sum(axis=1)
         with np.errstate(all="ignore"):
             good = (counts >= degree + 2) & (
                 np.abs(np.linalg.det(gram)) >= 1e-12 * np.abs(gram[:, 0, 0]) ** p)

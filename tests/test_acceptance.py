@@ -26,13 +26,14 @@ from rdsafe.core import (
     baseline_policy,
     serialize_dataset,
 )
-from rdsafe.estimator import compute_dr_scores, dr_component, oracle_nuisances, value_breakdown
+from rdsafe.estimator import compute_dr_scores, oracle_nuisances
 from rdsafe.idbounds import BoundModel
 from rdsafe.learner import (
     LearnerConfig,
     group_objective,
     learn_from_components,
     prepare_components,
+    value_breakdown,
 )
 from rdsafe.simlab import ScenarioSpec, _draw_population, generate, oracle_policy, true_value
 from rdsafe.smooth import CurveFit, LocalPolyConfig, _fit_propensity_arrays, boundary_limit
@@ -173,7 +174,7 @@ class TestCriterion5BruteForceEquivalence:
             policy = ThresholdPolicy(
                 {label: float(rng.uniform(design.c_min, design.c_max))
                  for label in design.groups}, design)
-            got = value_breakdown(ds, policy, base, scores, bounds, util)
+            got = value_breakdown(ds, policy, scores, bounds, util)
             want = bf_components(ds, policy, base, mean_fn, prop_fn,
                                  bf_lower(boundary, lam, anchors), cost=cost)
             worst_err = max(worst_err, abs(got.iden - want[0]),
@@ -189,9 +190,9 @@ class TestCriterion5BruteForceEquivalence:
             best = -np.inf
             for combo in itertools.product(grid, repeat=design.q):
                 p = ThresholdPolicy(dict(zip(design.groups, map(float, combo))), design)
-                best = max(best, value_breakdown(ds, p, base, scores, bounds, util).total)
+                best = max(best, value_breakdown(ds, p, scores, bounds, util).total)
             sep_total = value_breakdown(
-                ds, ThresholdPolicy(per_group, design), base, scores, bounds, util).total
+                ds, ThresholdPolicy(per_group, design), scores, bounds, util).total
             search_ok &= abs(sep_total - best) <= 1e-12
         report(5, worst_err <= 1e-12 and search_ok,
                f"components match brute force on 100 toys (worst error "
@@ -204,7 +205,9 @@ class TestCriterion6DoubleRobustness:
         design = spec.design
         c2 = -700.0
         policy = ThresholdPolicy({1: -850.0, 2: c2}, design)
-        base = baseline_policy(design)
+        # `.dr` does not read the envelopes; these only make the breakdown whole
+        zero = {(1, 2, 1): 0.0, (0, 1, 2): 0.0}
+        bounds = BoundModel(design, zero, zero)
 
         def xi1_integrand(x):
             return (1 / 999.0) * norm.cdf((0.01 * x + 5) / 10.0) \
@@ -240,7 +243,7 @@ class TestCriterion6DoubleRobustness:
                 ds = generate(spec, seed=rep_seed("c6" + name, rep))
                 nus = oracle_nuisances(ds, mean_fn, prop_fn)
                 scores = compute_dr_scores(ds, nus)
-                vals.append(dr_component(ds, policy, base, scores))
+                vals.append(value_breakdown(ds, policy, scores, bounds).dr)
             vals = np.asarray(vals)
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / np.sqrt(vals.size))

@@ -12,15 +12,13 @@ from rdsafe.core import (
 )
 from rdsafe.estimator import (
     compute_dr_scores,
-    dr_component,
     fit_crossfit_nuisances,
-    identified_component,
     interval_index,
     make_folds,
     oracle_nuisances,
-    value_breakdown,
 )
 from rdsafe.idbounds import BoundModel
+from rdsafe.learner import value_breakdown
 from rdsafe.smooth import CurveFit, LocalPolyConfig
 
 
@@ -145,7 +143,7 @@ class TestComponentsAgainstBruteForce:
                        for label in design.groups}
             policy = ThresholdPolicy(cutoffs, design)
             util = UtilityConfig(cost=cost)
-            got = value_breakdown(ds, policy, base, scores, bounds, util)
+            got = value_breakdown(ds, policy, scores, bounds, util)
             want = bf_components(ds, policy, base, mean_fn, prop_fn,
                                  bf_lower(boundary, lam, anchors), cost=cost)
             assert got.iden == pytest.approx(want[0], abs=1e-12)
@@ -156,9 +154,13 @@ class TestComponentsAgainstBruteForce:
         ds, mean_fn, prop_fn = random_toy(7)
         nus = oracle_nuisances(ds, mean_fn, prop_fn)
         scores = compute_dr_scores(ds, nus)
+        boundary, lam, _ = random_bounds(ds.design, 7)
+        bounds = BoundModel(ds.design, boundary, lam)
         base = baseline_policy(ds.design)
-        assert identified_component(ds, base, base) == pytest.approx(float(np.mean(ds.y)))
-        assert dr_component(ds, base, base, scores) == 0.0
+        got = value_breakdown(ds, base, scores, bounds)
+        assert got.iden == pytest.approx(float(np.mean(ds.y)))
+        assert got.dr == 0.0
+        assert got.xi2_worst == 0.0
 
 
 def folded_dataset(n, seed, k, extra=()):

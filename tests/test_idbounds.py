@@ -11,7 +11,7 @@ from rdsafe.core import (
     ThresholdPolicy,
     baseline_policy,
 )
-from rdsafe.estimator import oracle_nuisances
+from rdsafe.estimator import compute_dr_scores, oracle_nuisances
 from rdsafe.idbounds import (
     BoundModel,
     anchor_rank,
@@ -21,8 +21,8 @@ from rdsafe.idbounds import (
     fit_difference_curve,
     required_pairs,
     select_smoothness,
-    worst_case_xi2,
 )
+from rdsafe.learner import value_breakdown
 
 
 class TestAnchorRule:
@@ -276,10 +276,11 @@ class TestWorstCaseXi2:
     def test_baseline_gives_zero(self):
         for seed in range(5):
             ds, mean_fn, prop_fn = random_toy(seed)
+            scores = compute_dr_scores(ds, oracle_nuisances(ds, mean_fn, prop_fn))
             boundary, lam, anchors = random_bounds(ds.design, seed)
             model = BoundModel(ds.design, boundary, lam)
             base = baseline_policy(ds.design)
-            assert worst_case_xi2(ds, base, base, model) == 0.0
+            assert value_breakdown(ds, base, scores, model).xi2_worst == 0.0
 
     def test_q3_toy_matches_brute_force(self):
         design = StudyDesign({1: 0.0, 2: 1.0, 3: 2.0})
@@ -291,11 +292,6 @@ class TestWorstCaseXi2:
             (2.0, 2, 1, 0.0),   # topmost point
         ]
         ds = Dataset(*zip(*recs), design, min_group_size=1)
-        boundary, lam, anchors = random_bounds(design, 42)
-        model = BoundModel(design, boundary, lam)
-        base = baseline_policy(design)
-        policy = ThresholdPolicy({1: 2.0, 2: 0.0, 3: 0.2}, design)
-        got = worst_case_xi2(ds, policy, base, model)
 
         def mean_fn(x, rank, side):
             return np.zeros_like(np.asarray(x, dtype=float))
@@ -304,15 +300,21 @@ class TestWorstCaseXi2:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             return np.full((x.size, 3), 1 / 3)
 
+        scores = compute_dr_scores(ds, oracle_nuisances(ds, mean_fn, prop_fn))
+        boundary, lam, anchors = random_bounds(design, 42)
+        model = BoundModel(design, boundary, lam)
+        base = baseline_policy(design)
+        policy = ThresholdPolicy({1: 2.0, 2: 0.0, 3: 0.2}, design)
+        got = value_breakdown(ds, policy, scores, model).xi2_worst
         _, _, want = bf_components(ds, policy, base, mean_fn, prop_fn,
                                    bf_lower(boundary, lam, anchors))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_monotone_in_multiplier(self):
-        ds, _, _ = random_toy(11)
+        ds, mean_fn, prop_fn = random_toy(11)
         design = ds.design
+        scores = compute_dr_scores(ds, oracle_nuisances(ds, mean_fn, prop_fn))
         boundary, lam, anchors = random_bounds(design, 5)
-        base = baseline_policy(design)
         rng = np.random.default_rng(1)
         policy = ThresholdPolicy(
             {label: float(rng.uniform(design.c_min, design.c_max))
@@ -320,6 +322,6 @@ class TestWorstCaseXi2:
         prev = np.inf
         for mult in (0.0, 0.5, 1.0, 2.0, 8.0):
             model = BoundModel(design, boundary, lam, multiplier=mult)
-            val = worst_case_xi2(ds, policy, base, model)
+            val = value_breakdown(ds, policy, scores, model).xi2_worst
             assert val <= prev + 1e-12
             prev = val

@@ -11,11 +11,12 @@ from rdsafe.core import (
     UtilityConfig,
     baseline_policy,
 )
-from rdsafe.estimator import compute_dr_scores, oracle_nuisances, value_breakdown
+from rdsafe.estimator import compute_dr_scores, oracle_nuisances
 from rdsafe import idbounds
 from rdsafe.idbounds import BoundModel, required_pairs
 from rdsafe.learner import (
     LearnerConfig,
+    ValueBreakdown,
     candidate_grid,
     group_objective,
     learn_from_components,
@@ -23,6 +24,7 @@ from rdsafe.learner import (
     prepare_components,
     sensitivity_sweep,
     sweep_to_csv,
+    value_breakdown,
 )
 from rdsafe.simlab import ScenarioSpec, generate
 
@@ -81,7 +83,6 @@ class TestGroupObjective:
         for seed in range(15):
             ds, scores, bounds = toy_problem(seed)
             design = ds.design
-            base = baseline_policy(design)
             cutoffs = {label: float(rng.uniform(design.c_min, design.c_max))
                        for label in design.groups}
             policy = ThresholdPolicy(cutoffs, design)
@@ -89,7 +90,7 @@ class TestGroupObjective:
                 group_objective(ds, design.rank_of(label), cutoffs[label], scores, bounds)
                 for label in design.groups
             )
-            want = value_breakdown(ds, policy, base, scores, bounds).total
+            want = value_breakdown(ds, policy, scores, bounds).total
             assert total == pytest.approx(want, abs=1e-12)
 
     def test_out_of_span_candidate_rejected(self):
@@ -105,7 +106,6 @@ class TestSeparability:
             design = ds.design
             if design.q != 2:
                 continue
-            base = baseline_policy(design)
             grid = np.linspace(design.c_min, design.c_max, 8)
             per_group = {}
             for label in design.groups:
@@ -115,11 +115,11 @@ class TestSeparability:
             best_joint, best_val = None, -np.inf
             for combo in itertools.product(grid, repeat=design.q):
                 p = ThresholdPolicy(dict(zip(design.groups, map(float, combo))), design)
-                v = value_breakdown(ds, p, base, scores, bounds).total
+                v = value_breakdown(ds, p, scores, bounds).total
                 if v > best_val:
                     best_val, best_joint = v, p
             sep = ThresholdPolicy(per_group, design)
-            sep_val = value_breakdown(ds, sep, base, scores, bounds).total
+            sep_val = value_breakdown(ds, sep, scores, bounds).total
             assert sep_val == pytest.approx(best_val, abs=1e-12)
 
 
@@ -201,17 +201,20 @@ class TestSensitivitySweep:
         assert via_sweep.breakdown.total == pytest.approx(direct.breakdown.total)
 
 
-@pytest.fixture(scope="module")
-def three_groups():
+def three_group_dataset(seed, n):
     """Three groups: a shared smooth outcome, group shifts and an effect growing in x."""
-    rng = np.random.default_rng(4)
-    n = 1800
+    rng = np.random.default_rng(seed)
     x = rng.uniform(-2.5, 2.5, n)
     g = rng.integers(1, 4, n)
     w = (x >= np.array([-1.0, 0.0, 1.0])[g - 1]).astype(int)
     y = (0.5 * x - 0.2 * x**2 + np.array([0.0, 0.3, -0.2])[g - 1]
          + w * (0.4 + 0.2 * x) + rng.normal(0, 0.3, n))
     return Dataset(x, g, w, y, StudyDesign({1: -1.0, 2: 0.0, 3: 1.0}))
+
+
+@pytest.fixture(scope="module")
+def three_groups():
+    return three_group_dataset(seed=4, n=1800)
 
 
 class TestOneBoundModelPerDataset:
@@ -246,3 +249,45 @@ class TestOneBoundModelPerDataset:
                 for rank, (cand, vals) in want.objective_tables.items():
                     assert np.array_equal(got.objective_tables[rank][0], cand)
                     assert np.array_equal(got.objective_tables[rank][1], vals)
+
+
+class TestOneObjectivePath:
+    """The reported breakdowns come from the search's own record contributions."""
+
+    CELLS = [(m, c) for m in (0.0, 2.0) for c in (0.0, 0.4)]
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        ds = three_group_dataset(seed=9, n=1500)
+        comps = prepare_components(ds, LearnerConfig(seed=1))
+        return ds, comps, {(m, c): learn_from_components(comps, multiplier=m,
+                                                         utility=UtilityConfig(cost=c))
+                           for m, c in self.CELLS}
+
+    def test_breakdown_equals_value_breakdown_of_learned_policy(self, cells):
+        ds, comps, learned = cells
+        for m, c in self.CELLS:
+            got = learned[(m, c)]
+            want = value_breakdown(ds, got.policy, comps.raw_scores.with_cost(c),
+                                   comps.bounds.with_multiplier(m), UtilityConfig(cost=c))
+            for field in ("iden", "dr", "xi2_worst"):
+                assert getattr(got.breakdown, field) == getattr(want, field)
+
+    def test_baseline_breakdown_is_identified_mean(self, cells):
+        ds, _, learned = cells
+        n = len(ds)
+        for m, c in self.CELLS:
+            want = ValueBreakdown(np.sum(ds.y - c * ds.w) / n, 0.0, 0.0)
+            assert learned[(m, c)].baseline_breakdown == want
+
+    def test_tables_at_learned_cutoffs_sum_to_total(self, cells):
+        ds, _, learned = cells
+        design = ds.design
+        for m, c in self.CELLS:
+            got = learned[(m, c)]
+            total = 0.0
+            for rank, (cand, vals) in got.objective_tables.items():
+                at = np.flatnonzero(cand == got.policy.cutoffs[design.label_of(rank)])
+                assert at.size == 1
+                total += vals[at[0]]
+            assert total == pytest.approx(got.breakdown.total, abs=1e-12)

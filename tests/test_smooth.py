@@ -134,6 +134,9 @@ class TestMomentEngine:
     # a case that needs the running sums' error terms
     @example(seed=9890041, n=9422, degree=2, kernel="triangular", offset=0.0, spread=1.0,
              ties=False, auto=False, n_queries=31)
+    # a query beyond the data where an oracle summing row by row was 3e-10 off
+    @example(seed=1419, n=18318, degree=2, kernel="triangular", offset=0.0, spread=1.0,
+             ties=True, auto=False, n_queries=13)
     def test_matches_dense_oracle(self, seed, n, degree, kernel, offset, spread, ties, auto,
                                   n_queries):
         rng = np.random.default_rng(seed)
