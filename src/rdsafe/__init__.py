@@ -37,7 +37,7 @@ from .learner import (
     sensitivity_sweep,
     value_breakdown,
 )
-from .simlab import RegretReport, ScenarioSpec, generate, oracle_policy, true_value
+from .simlab import ScenarioSpec, generate, oracle_policy, true_value
 from .smooth import CurveFit, LocalPolyConfig, auto_bandwidth, boundary_limit
 
 __version__ = "0.1.0"

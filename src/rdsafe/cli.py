@@ -1,19 +1,23 @@
 """Command-line front end: learn, simulate, sensitivity, validate.
 
-Configuration comes from an optional YAML file plus flags; flags win. All
-result files are written atomically (temp file + rename) and embed the seed
-and a hash of the effective configuration, so a failed run leaves nothing
-behind and a finished one is traceable.
+Configuration comes from an optional YAML file plus flags; flags win. The
+library returns data; this module alone writes the result files. All of them
+are written atomically (temp file + rename) and embed the seed and a hash of
+the effective configuration, so a failed run leaves nothing behind and a
+finished one is traceable.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
 
+import numpy as np
 import yaml
 
 from .core import (
@@ -28,10 +32,8 @@ from .core import (
 from .learner import (
     LearnerConfig,
     learn_from_components,
-    objective_tables_csv,
     prepare_components,
     sensitivity_sweep,
-    sweep_to_csv,
 )
 from .simlab import regret_experiment
 
@@ -39,6 +41,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_ESTIMATION = 4
+
+# bound_curves.csv evaluates the envelopes on this many x points over [c_1, c_Q]
+BOUND_GRID_SIZE = 101
 
 
 def _atomic_write(path: str, content: str):
@@ -127,9 +132,26 @@ def _provenance(cfg: dict) -> dict:
     return {"config_hash": _config_hash(cfg), "seed": int(cfg.get("seed", 0))}
 
 
-def _csv_with_provenance(body: str, cfg: dict) -> str:
+def _write_csv(path: str, cfg: dict, header, rows):
+    """A result CSV: the provenance line, the header, then one line per row.
+
+    `csv` writes Python floats with `repr`, so every value round-trips.
+    """
     prov = _provenance(cfg)
-    return f"# config_hash={prov['config_hash']} seed={prov['seed']}\n" + body
+    out = io.StringIO()
+    out.write(f"# config_hash={prov['config_hash']} seed={prov['seed']}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, out.getvalue())
+
+
+def _write_json(path: str, doc: dict):
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _breakdown_dict(b) -> dict:
+    return {"iden": b.iden, "dr": b.dr, "xi2_worst": b.xi2_worst, "total": b.total}
 
 
 def cmd_learn(cfg: dict) -> int:
@@ -147,13 +169,8 @@ def cmd_learn(cfg: dict) -> int:
         "changes": {str(k): learned.policy.cutoffs[k] - base.cutoffs[k]
                     for k in design.groups},
         "objective": {
-            "learned": {"iden": learned.breakdown.iden, "dr": learned.breakdown.dr,
-                        "xi2_worst": learned.breakdown.xi2_worst,
-                        "total": learned.breakdown.total},
-            "baseline": {"iden": learned.baseline_breakdown.iden,
-                         "dr": learned.baseline_breakdown.dr,
-                         "xi2_worst": learned.baseline_breakdown.xi2_worst,
-                         "total": learned.baseline_breakdown.total},
+            "learned": _breakdown_dict(learned.breakdown),
+            "baseline": _breakdown_dict(learned.baseline_breakdown),
             "gain": learned.objective_gain,
         },
         "diagnostics": {
@@ -165,12 +182,25 @@ def cmd_learn(cfg: dict) -> int:
         },
     }
     out = cfg["out"]
-    _atomic_write(os.path.join(out, "learned_policy.json"),
-                  json.dumps(result, indent=2, sort_keys=True) + "\n")
-    _atomic_write(os.path.join(out, "objective_curves.csv"),
-                  _csv_with_provenance(objective_tables_csv(learned, design), cfg))
-    _atomic_write(os.path.join(out, "bound_curves.csv"),
-                  _csv_with_provenance(learned.bounds.export_curves_csv(), cfg))
+    _write_json(os.path.join(out, "learned_policy.json"), result)
+    curves = []
+    for rank in sorted(learned.objective_tables):
+        label = design.label_of(rank)
+        cand, vals = learned.objective_tables[rank]
+        curves += [(label, c, v) for c, v in zip(cand.tolist(), vals.tolist())]
+    _write_csv(os.path.join(out, "objective_curves.csv"), cfg,
+               ["group", "candidate", "objective"], curves)
+    bounds = learned.bounds
+    xs = np.linspace(design.c_min, design.c_max, BOUND_GRID_SIZE)
+    envelopes = []
+    for (w, g, gp) in sorted(bounds.boundary):
+        g_col, gp_col = np.full(xs.size, g), np.full(xs.size, gp)
+        lo = bounds.lower(w, xs, g_col, gp_col).tolist()
+        hi = bounds.upper(w, xs, g_col, gp_col).tolist()
+        envelopes += [(w, design.label_of(g), design.label_of(gp), *row)
+                      for row in zip(xs.tolist(), lo, hi)]
+    _write_csv(os.path.join(out, "bound_curves.csv"), cfg,
+               ["w", "g", "g_ref", "x", "b_lower", "b_upper"], envelopes)
     print(f"learned policy written to {out} "
           f"(objective gain {learned.objective_gain:.6g})")
     return EXIT_OK
@@ -181,7 +211,7 @@ def cmd_simulate(cfg: dict) -> int:
     for s in scenarios:
         if s not in ("A", "B"):
             raise DataError(f"unknown scenario {s!r}; choose from A, B")
-    report = regret_experiment(
+    cells = regret_experiment(
         scenarios=scenarios,
         n_list=cfg.get("sizes", [1000]),
         multipliers=cfg.get("multipliers", [1.0]),
@@ -189,13 +219,16 @@ def cmd_simulate(cfg: dict) -> int:
         seed=int(cfg.get("seed", 0)),
     )
     out = cfg["out"]
-    _atomic_write(os.path.join(out, "regret.csv"),
-                  _csv_with_provenance(report.to_csv(), cfg))
-    meta = json.loads(report.metadata())
-    meta.update(_provenance(cfg))
-    _atomic_write(os.path.join(out, "regret_meta.json"),
-                  json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    print(f"regret report written to {out} ({len(report.cells)} cells)")
+    _write_csv(os.path.join(out, "regret.csv"), cfg,
+               ["scenario", "n", "M", "regret_baseline_mean", "regret_baseline_se",
+                "regret_oracle_mean", "regret_oracle_se", "reps", "failures"],
+               [(c.scenario, c.n, c.multiplier, c.regret_baseline_mean,
+                 c.regret_baseline_se, c.regret_oracle_mean, c.regret_oracle_se,
+                 c.reps, c.failures) for c in cells])
+    # replication seeds derive from the master seed through numpy's PCG64
+    _write_json(os.path.join(out, "regret_meta.json"),
+                {"generator": "PCG64", "version": 1, **_provenance(cfg)})
+    print(f"regret report written to {out} ({len(cells)} cells)")
     return EXIT_OK
 
 
@@ -206,8 +239,11 @@ def cmd_sensitivity(cfg: dict) -> int:
     costs = cfg.get("costs") or [0.0]
     rows = sensitivity_sweep(dataset, multipliers, costs, _learner_config(cfg))
     out = cfg["out"]
-    _atomic_write(os.path.join(out, "sweep.csv"),
-                  _csv_with_provenance(sweep_to_csv(rows), cfg))
+    _write_csv(os.path.join(out, "sweep.csv"), cfg,
+               ["group", "M", "C", "baseline_cutoff", "learned_cutoff", "change",
+                "objective_gain"],
+               [(r.group, r.multiplier, r.cost, r.baseline_cutoff, r.learned_cutoff,
+                 r.change, r.objective_gain) for r in rows])
     print(f"sensitivity sweep written to {out} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -12,8 +12,6 @@ lambda (`BoundModel.with_multiplier`).
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,21 +186,6 @@ class BoundModel:
         for (w, g, gp) in self.boundary:
             worst = np.maximum(worst, self._lam[w][g, gp] * np.abs(x - self._anchor[w][g, gp]))
         return worst
-
-    def export_curves_csv(self, grid_size: int = 101) -> str:
-        """Bound envelopes on an x grid over [c_1, c_Q], as CSV for plotting."""
-        design = self.design
-        xs = np.linspace(design.c_min, design.c_max, grid_size)
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["w", "g", "g_ref", "x", "b_lower", "b_upper"])
-        for (w, g, gp) in sorted(self.boundary):
-            lo = self.lower(w, xs, np.full(xs.size, g), np.full(xs.size, gp))
-            hi = self.upper(w, xs, np.full(xs.size, g), np.full(xs.size, gp))
-            for xv, lv, hv in zip(xs, lo, hi):
-                writer.writerow([w, design.label_of(g), design.label_of(gp),
-                                 repr(float(xv)), repr(float(lv)), repr(float(hv))])
-        return out.getvalue()
 
 
 def fit_bound_model(dataset: Dataset, nuisances: NuisanceTable) -> BoundModel:

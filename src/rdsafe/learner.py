@@ -10,8 +10,6 @@ from the same arrays, so the objective is computed in one place.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,22 +135,6 @@ def _candidate_values(dataset: Dataset, a: np.ndarray, b: np.ndarray, order: np.
     suffix = np.concatenate([np.cumsum(diff[::-1])[::-1], [0.0]])
     pos = np.searchsorted(xs, candidates, side="left")
     return (total_b + suffix[pos]) / len(dataset)
-
-
-def group_objective(dataset: Dataset, rank: int, candidate: float,
-                    scores: DRScores, bounds: BoundModel,
-                    utility: UtilityConfig | None = None) -> float:
-    """Contribution of group `rank` to the worst-case objective at one cutoff,
-    against the baseline that keeps every group's own cutoff."""
-    design = dataset.design
-    if not design.c_min <= candidate <= design.c_max:
-        raise ValueError(
-            f"candidate cutoff {candidate} outside [{design.c_min}, {design.c_max}]"
-        )
-    a, b = _record_contributions(dataset, rank, scores, bounds, utility)
-    vals = _candidate_values(dataset, a, b, np.argsort(dataset.x, kind="stable"),
-                             np.array([float(candidate)]))
-    return float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -345,27 +327,3 @@ def sensitivity_sweep(dataset: Dataset, multipliers, costs,
                 ))
     return rows
 
-
-def sweep_to_csv(rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["group", "M", "C", "baseline_cutoff", "learned_cutoff",
-                     "change", "objective_gain"])
-    for r in rows:
-        writer.writerow([r.group, repr(r.multiplier), repr(r.cost),
-                         repr(r.baseline_cutoff), repr(r.learned_cutoff),
-                         repr(r.change), repr(r.objective_gain)])
-    return out.getvalue()
-
-
-def objective_tables_csv(learned: LearnedPolicy, design: StudyDesign) -> str:
-    """Per-candidate objective curves for plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["group", "candidate", "objective"])
-    for rank in sorted(learned.objective_tables):
-        cand, vals = learned.objective_tables[rank]
-        label = design.label_of(rank)
-        for c, v in zip(cand, vals):
-            writer.writerow([label, repr(float(c)), repr(float(v))])
-    return out.getvalue()

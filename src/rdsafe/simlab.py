@@ -7,7 +7,6 @@ B lowering the upper group's cutoff is genuinely beneficial.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -205,30 +204,6 @@ class RegretCell:
     regret_oracle_se: float
     reps: int
     failures: int
-    valid: bool
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    cells: list
-    seed: int
-    generator: str = "PCG64"
-
-    def to_csv(self) -> str:
-        lines = ["scenario,n,M,regret_baseline_mean,regret_baseline_se,"
-                 "regret_oracle_mean,regret_oracle_se,reps,failures"]
-        for c in self.cells:
-            lines.append(",".join([
-                c.scenario, str(c.n), repr(c.multiplier),
-                repr(c.regret_baseline_mean), repr(c.regret_baseline_se),
-                repr(c.regret_oracle_mean), repr(c.regret_oracle_se),
-                str(c.reps), str(c.failures),
-            ]))
-        return "\n".join(lines) + "\n"
-
-    def metadata(self) -> str:
-        return json.dumps({"seed": self.seed, "generator": self.generator,
-                           "version": 1}, sort_keys=True)
 
 
 def _replication_seed(master: int, scenario: str, n: int, m_index: int, rep: int):
@@ -238,13 +213,13 @@ def _replication_seed(master: int, scenario: str, n: int, m_index: int, rep: int
 
 
 def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
-                      mc_size: int = 500_000) -> RegretReport:
-    """Monte Carlo regret of the learned policy against baseline and oracle.
+                      mc_size: int = 500_000) -> list[RegretCell]:
+    """Monte Carlo regret of the learned policy against baseline and oracle,
+    one cell per (scenario, n, M).
 
     Replications that fail with a package error or a singular linear solve
-    are excluded and counted; a cell with 5% or more failures is marked
-    invalid. Any other exception propagates. Deterministic given the master
-    seed.
+    are excluded and counted. Any other exception propagates. Deterministic
+    given the master seed.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
@@ -284,11 +259,10 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                         regret_oracle_mean=float(ro.mean()),
                         regret_oracle_se=float(ro.std(ddof=1) / np.sqrt(done)),
                         reps=done, failures=failures,
-                        valid=failures < 0.05 * reps,
                     )
                 else:
                     cell = RegretCell(scenario, n, float(m), float("nan"),
                                       float("nan"), float("nan"), float("nan"),
-                                      done, failures, False)
+                                      done, failures)
                 cells.append(cell)
-    return RegretReport(cells=cells, seed=seed)
+    return cells

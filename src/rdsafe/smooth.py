@@ -414,11 +414,14 @@ class PropensityModel:
 
 
 def _multinomial_loglik(b, t, coef):
+    """Log-likelihood at `coef` and the class probabilities it was computed from."""
     logits = np.column_stack([b @ coef.T, np.zeros(b.shape[0])])
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    expl = np.exp(logits - m)
+    total = expl.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     picked = logits[np.arange(b.shape[0]), t]
-    return float(np.sum(picked - lse))
+    return float(np.sum(picked - lse)), expl / total
 
 
 def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
@@ -451,14 +454,10 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
     onehot[np.arange(n)[inclass], t[inclass]] = 1.0
 
     coef = np.zeros((k, p))
-    ll = _multinomial_loglik(b, t, coef)
+    ll, probs = _multinomial_loglik(b, t, coef)
     path = [ll]
     converged = False
     for _ in range(max_iter):
-        logits = np.column_stack([b @ coef.T, np.zeros(n)])
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
         pk = probs[:, :k]
         grad = ((onehot - pk)[:, :, None] * b[:, None, :]).sum(axis=0).ravel()
         hess = np.zeros((k * p, k * p))
@@ -476,7 +475,7 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
         improved = False
         for _ in range(30):
             cand = coef + scale_step * step
-            ll_new = _multinomial_loglik(b, t, cand)
+            ll_new, probs_new = _multinomial_loglik(b, t, cand)
             if ll_new >= ll:
                 improved = True
                 break
@@ -486,7 +485,7 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
             # exactly when the Newton decrement g'H^-1g/2 is negligible
             converged = 0.5 * float(grad @ step.ravel()) < tol
             break
-        coef = cand
+        coef, probs = cand, probs_new
         path.append(ll_new)
         if ll_new - ll < tol:
             ll = ll_new

@@ -30,7 +30,8 @@ from rdsafe.estimator import compute_dr_scores, oracle_nuisances
 from rdsafe.idbounds import BoundModel
 from rdsafe.learner import (
     LearnerConfig,
-    group_objective,
+    _candidate_values,
+    _record_contributions,
     learn_from_components,
     prepare_components,
     value_breakdown,
@@ -182,10 +183,10 @@ class TestCriterion5BruteForceEquivalence:
             # joint exhaustive search vs per-group argmax on a small grid
             grid = np.linspace(design.c_min, design.c_max, 5)
             per_group = {}
+            order = np.argsort(ds.x, kind="stable")
             for label in design.groups:
-                rank = design.rank_of(label)
-                vals = np.array([group_objective(ds, rank, float(c), scores, bounds, util)
-                                 for c in grid])
+                ab = _record_contributions(ds, design.rank_of(label), scores, bounds, util)
+                vals = _candidate_values(ds, *ab, order, grid)
                 per_group[label] = float(grid[int(np.argmax(vals))])
             best = -np.inf
             for combo in itertools.product(grid, repeat=design.q):

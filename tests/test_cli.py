@@ -1,10 +1,14 @@
+import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from rdsafe.cli import main
-from rdsafe.core import serialize_dataset
-from rdsafe.simlab import ScenarioSpec, generate
+from rdsafe.core import StudyDesign, UtilityConfig, load_dataset, serialize_dataset
+from rdsafe.learner import LearnerConfig, learn_policy, sensitivity_sweep
+from rdsafe.simlab import ScenarioSpec, generate, regret_experiment
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +146,83 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenarios", "Q", "--out", str(tmp_path / "q")])
         assert exc.value.code == 2
+
+
+def result_rows(path, header):
+    """The rows of a result CSV, after checking its provenance and header lines."""
+    provenance, *lines = read(path).splitlines()
+    assert provenance.startswith("# config_hash=")
+    assert lines[0] == header
+    return list(csv.reader(lines[1:]))
+
+
+def assert_rows_equal(rows, expected):
+    """Every cell reads back as its in-memory value: floats exactly, NaN as NaN."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want)
+        for cell, value in zip(row, want):
+            if isinstance(value, float):
+                assert float(cell) == value or (math.isnan(value) and math.isnan(float(cell)))
+            else:
+                assert cell == str(value)
+
+
+class TestResultFiles:
+    """Each result file holds exactly the values the library returns."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, workdir):
+        return load_dataset(str(workdir / "data.csv"), StudyDesign({1: -850, 2: -571}))
+
+    def test_learn_files(self, workdir, dataset):
+        out = workdir / "files_learn"
+        assert main(["learn", "--input", str(workdir / "data.csv"),
+                     "--design", str(workdir / "design.yaml"), "--out", str(out),
+                     "--seed", "6", "--cost", "0.3"]) == 0
+        learned = learn_policy(dataset, LearnerConfig(seed=6, utility=UtilityConfig(cost=0.3)))
+        design = dataset.design
+        curves = [(design.label_of(rank), c, v)
+                  for rank, (cand, vals) in sorted(learned.objective_tables.items())
+                  for c, v in zip(cand.tolist(), vals.tolist())]
+        assert_rows_equal(result_rows(out / "objective_curves.csv", "group,candidate,objective"),
+                          curves)
+        xs = np.linspace(design.c_min, design.c_max, 101)
+        envelopes = []
+        for (w, g, gp) in sorted(learned.bounds.boundary):
+            lo = learned.bounds.lower(w, xs, np.full(101, g), np.full(101, gp))
+            hi = learned.bounds.upper(w, xs, np.full(101, g), np.full(101, gp))
+            envelopes += [(w, design.label_of(g), design.label_of(gp), *v)
+                          for v in zip(xs.tolist(), lo.tolist(), hi.tolist())]
+        assert_rows_equal(result_rows(out / "bound_curves.csv", "w,g,g_ref,x,b_lower,b_upper"),
+                          envelopes)
+
+    def test_sweep_file(self, workdir, dataset):
+        out = workdir / "files_sweep"
+        assert main(["sensitivity", "--input", str(workdir / "data.csv"),
+                     "--design", str(workdir / "design.yaml"), "--out", str(out),
+                     "--seed", "6", "--multipliers", "0", "2", "--costs", "0", "0.5"]) == 0
+        rows = sensitivity_sweep(dataset, [0.0, 2.0], [0.0, 0.5], LearnerConfig(seed=6))
+        assert_rows_equal(
+            result_rows(out / "sweep.csv",
+                        "group,M,C,baseline_cutoff,learned_cutoff,change,objective_gain"),
+            [(r.group, r.multiplier, r.cost, r.baseline_cutoff, r.learned_cutoff, r.change,
+              r.objective_gain) for r in rows])
+
+    def test_regret_files(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenarios", "B", "A", "--sizes", "300",
+                     "--multipliers", "1", "--reps", "2", "--seed", "4", "--out", str(out)]) == 0
+        cells = regret_experiment(["B", "A"], [300], [1.0], reps=2, seed=4)
+        assert_rows_equal(
+            result_rows(out / "regret.csv",
+                        "scenario,n,M,regret_baseline_mean,regret_baseline_se,"
+                        "regret_oracle_mean,regret_oracle_se,reps,failures"),
+            [(c.scenario, c.n, c.multiplier, c.regret_baseline_mean, c.regret_baseline_se,
+              c.regret_oracle_mean, c.regret_oracle_se, c.reps, c.failures) for c in cells])
+        meta = json.loads(read(out / "regret_meta.json"))
+        assert set(meta) == {"config_hash", "generator", "seed", "version"}
+        assert (meta["generator"], meta["seed"], meta["version"]) == ("PCG64", 4, 1)
 
 
 class TestLoaderExitCodes:

@@ -240,15 +240,6 @@ class TestBoundModel:
         assert scaled.lower(0, 0.2, 1, 2) == -0.2 - 2.5 * 0.3 * 0.2
         assert base.lower(0, 0.2, 1, 2) == -0.2 - 0.3 * 0.2
 
-    def test_export_csv_shape(self):
-        design = StudyDesign({1: 0.0, 2: 1.0})
-        boundary = {(1, 2, 1): 0.5, (0, 1, 2): -0.2}
-        lam = {(1, 2, 1): 0.1, (0, 1, 2): 0.3}
-        model = BoundModel(design, boundary, lam)
-        lines = model.export_curves_csv(grid_size=11).splitlines()
-        assert lines[0] == "w,g,g_ref,x,b_lower,b_upper"
-        assert len(lines) == 1 + 2 * 11
-
 
 class TestFitBoundModel:
     def test_recovers_linear_difference(self):

@@ -17,13 +17,13 @@ from rdsafe.idbounds import BoundModel, required_pairs
 from rdsafe.learner import (
     LearnerConfig,
     ValueBreakdown,
+    _candidate_values,
+    _record_contributions,
     candidate_grid,
-    group_objective,
     learn_from_components,
     learn_policy,
     prepare_components,
     sensitivity_sweep,
-    sweep_to_csv,
     value_breakdown,
 )
 from rdsafe.simlab import ScenarioSpec, generate
@@ -68,13 +68,19 @@ def toy_problem(seed):
     return ds, scores, bounds
 
 
+def group_values(ds, rank, grid, scores, bounds):
+    """Group `rank`'s objective contribution at every cutoff of `grid`."""
+    return _candidate_values(ds, *_record_contributions(ds, rank, scores, bounds, None),
+                             np.argsort(ds.x, kind="stable"), np.asarray(grid, dtype=float))
+
+
 class TestGroupObjective:
     def test_baseline_candidate_is_group_mean(self):
         for seed in range(5):
             ds, scores, bounds = toy_problem(seed)
             design = ds.design
             for rank in range(1, design.q + 1):
-                got = group_objective(ds, rank, design.cutoff_of_rank(rank), scores, bounds)
+                got = group_values(ds, rank, [design.cutoff_of_rank(rank)], scores, bounds)[0]
                 want = float(np.sum(ds.y[ds.rank == rank])) / len(ds)
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -87,16 +93,11 @@ class TestGroupObjective:
                        for label in design.groups}
             policy = ThresholdPolicy(cutoffs, design)
             total = sum(
-                group_objective(ds, design.rank_of(label), cutoffs[label], scores, bounds)
+                group_values(ds, design.rank_of(label), [cutoffs[label]], scores, bounds)[0]
                 for label in design.groups
             )
             want = value_breakdown(ds, policy, scores, bounds).total
             assert total == pytest.approx(want, abs=1e-12)
-
-    def test_out_of_span_candidate_rejected(self):
-        ds, scores, bounds = toy_problem(0)
-        with pytest.raises(ValueError):
-            group_objective(ds, 1, ds.design.c_max + 1, scores, bounds)
 
 
 class TestSeparability:
@@ -109,8 +110,7 @@ class TestSeparability:
             grid = np.linspace(design.c_min, design.c_max, 8)
             per_group = {}
             for label in design.groups:
-                rank = design.rank_of(label)
-                vals = [group_objective(ds, rank, float(c), scores, bounds) for c in grid]
+                vals = group_values(ds, design.rank_of(label), grid, scores, bounds)
                 per_group[label] = float(grid[int(np.argmax(vals))])
             best_joint, best_val = None, -np.inf
             for combo in itertools.product(grid, repeat=design.q):
@@ -179,13 +179,6 @@ class TestSensitivitySweep:
         ds, comps = components
         rows = sensitivity_sweep(ds, [1.0, 1.0], [0.0], components=comps)
         assert rows[0] == rows[1] and rows[2] == rows[3]
-
-    def test_csv_header(self, components):
-        ds, comps = components
-        rows = sensitivity_sweep(ds, [1.0], [0.0], components=comps)
-        out = sweep_to_csv(rows)
-        assert out.splitlines()[0] == ("group,M,C,baseline_cutoff,learned_cutoff,"
-                                       "change,objective_gain")
 
     def test_empty_lists_rejected(self, components):
         ds, comps = components

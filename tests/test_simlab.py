@@ -6,7 +6,6 @@ from oracles import direct_true_value
 from rdsafe import simlab
 from rdsafe.core import ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
-    RegretReport,
     ScenarioSpec,
     _draw_population,
     generate,
@@ -205,14 +204,12 @@ class TestRegretExperiment:
                       reps=3, seed=11, mc_size=20_000)
         a = regret_experiment(**kwargs)
         b = regret_experiment(**kwargs)
-        assert len(a.cells) == 2
-        assert a.to_csv() == b.to_csv()
-        assert '"generator": "PCG64"' in a.metadata()
+        assert len(a) == 2
+        assert a == b
 
     def test_regret_identity(self):
-        report = regret_experiment(scenarios=["B"], n_list=[400], multipliers=[1.0],
+        [cell] = regret_experiment(scenarios=["B"], n_list=[400], multipliers=[1.0],
                                    reps=3, seed=13, mc_size=20_000)
-        cell = report.cells[0]
         spec = ScenarioSpec(scenario="B", n=400)
         draws = _draw_population(spec, 20_000, seed=13)
         vb = true_value(baseline_policy(spec.design), spec, draws=draws)
@@ -233,9 +230,3 @@ class TestRegretExperiment:
         monkeypatch.setattr(simlab, "learn_policy", broken)
         with pytest.raises(TypeError, match="bug inside"):
             regret_experiment(["A"], [400], [1.0], reps=2, seed=0, mc_size=1_000)
-
-    def test_csv_schema(self):
-        report = RegretReport(cells=[], seed=5)
-        assert report.to_csv().splitlines()[0] == (
-            "scenario,n,M,regret_baseline_mean,regret_baseline_se,"
-            "regret_oracle_mean,regret_oracle_se,reps,failures")
