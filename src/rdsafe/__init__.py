@@ -24,7 +24,6 @@ from .estimator import (
 )
 from .idbounds import (
     BoundModel,
-    DifferenceCurve,
     fit_bound_model,
 )
 from .learner import (

@@ -103,7 +103,7 @@ def _validate_ranges(cfg: dict):
         ("reps", lambda v: v >= 2, "must be >= 2"),
         ("clamp", lambda v: 0 < v < 0.5, "must be in (0, 0.5)"),
         ("cost", lambda v: v >= 0, "must be nonnegative"),
-        ("multiplier", lambda v: v >= 0, "must be nonnegative"),
+        ("multiplier", lambda v: 0 <= v < np.inf, "must be finite and nonnegative"),
     ]
     for key, ok, msg in checks:
         if key in cfg and cfg[key] is not None and not ok(cfg[key]):
@@ -113,8 +113,8 @@ def _validate_ranges(cfg: dict):
             vals = cfg[key]
             if not vals:
                 raise DataError(f"--{key} needs at least one value")
-            if any(v < 0 for v in vals):
-                raise DataError(f"--{key} values must be nonnegative")
+            if not all(0 <= v < np.inf for v in vals):
+                raise DataError(f"--{key} values must be finite and nonnegative")
 
 
 def _learner_config(cfg: dict) -> LearnerConfig:

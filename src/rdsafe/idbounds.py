@@ -5,6 +5,7 @@ regression recovers the observable difference curve on the region where both
 groups share that treatment status. Its one-sided value d0 at the nearest
 baseline cutoff anchors Lipschitz envelopes d0 -/+ M * lambda * |x - anchor|,
 whose base slope lambda is read off the curve's own first derivative.
+`difference_bound` fits one pair's curve and returns both.
 
 d0 and lambda depend only on the data, so `fit_bound_model` fits them once per
 dataset. The multiplier M is the analyst's sensitivity choice and only scales
@@ -12,11 +13,9 @@ lambda (`BoundModel.with_multiplier`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Dataset, EstimationError, StudyDesign
+from .core import DataError, Dataset, EstimationError, StudyDesign
 from .estimator import NuisanceTable
 from .smooth import CurveFit, LocalPolyConfig, boundary_limit
 
@@ -72,60 +71,42 @@ def difference_pseudo_outcomes(dataset: Dataset, nuisances: NuisanceTable, w: in
     return x, phi
 
 
-@dataclass(frozen=True)
-class DifferenceCurve:
-    """Fitted difference curve for one (w, g, g') triple on its identified region."""
-
-    w: int
-    g: int
-    gp: int
-    curve: CurveFit
-    region: tuple
-    anchor_cutoff: float
-
-
-def fit_difference_curve(x, phi, w: int, g: int, gp: int, design: StudyDesign) -> DifferenceCurve:
-    """Local quadratic regression of pseudo-outcomes on x inside the region."""
-    x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if x.size < 5:
-        raise EstimationError(
-            f"difference curve for (w={w}, g={g}, g'={gp}) needs at least 5 "
-            f"pseudo-outcome pairs, got {x.size}"
-        )
-    curve = CurveFit(x, phi, LocalPolyConfig(degree=2))
-    anchor_cut = design.cutoff_of_rank(anchor_rank(w, g, gp))
-    if w == 1:
-        region = (anchor_cut, float(x.max()))
-    else:
-        region = (float(x.min()), anchor_cut)
-    return DifferenceCurve(w, g, gp, curve, region, anchor_cut)
-
-
-def boundary_difference(curve: DifferenceCurve) -> float:
-    """One-sided local-linear value of the difference curve at the anchor cutoff."""
-    pts = np.column_stack([curve.curve.x, curve.curve.y])
-    side = "from_above" if curve.w == 1 else "from_below"
-    cfg = LocalPolyConfig(degree=1, kernel=curve.curve.config.kernel)
-    return boundary_limit(pts, curve.anchor_cutoff, side, cfg)
-
-
-# Fraction of the identified range excluded at each end of the derivative grid;
+# Fraction of the curve's support excluded at each end of the derivative grid;
 # derivative estimates at the extreme edges of local fits are unstable.
 LAMBDA_EDGE_BUFFER = 0.05
 # Points of the grid on which the derivative is scanned.
 LAMBDA_GRID_SIZE = 50
 
 
-def select_smoothness(curve: DifferenceCurve) -> float:
-    """Base smoothness parameter: the max |first derivative| on a grid."""
-    lo, hi = curve.curve.support
-    lo = max(lo, curve.region[0])
-    hi = min(hi, curve.region[1])
+def difference_bound(x, phi, w: int, anchor_cut: float):
+    """Boundary value d0 and base smoothness lambda of one difference curve.
+
+    A local quadratic regression of the pseudo-outcomes on x, which all lie on
+    the identified side of `anchor_cut`. lambda is its largest |first
+    derivative| on a grid over the support; d0 is the one-sided local-linear
+    value of the fitted points at the anchor cutoff.
+    """
+    if np.size(x) < 5:
+        raise EstimationError(
+            f"difference curve needs at least 5 pseudo-outcome pairs, got {np.size(x)}"
+        )
+    curve = CurveFit(x, phi, LocalPolyConfig(degree=2))
+    lo, hi = curve.support
     buf = LAMBDA_EDGE_BUFFER * (hi - lo)
-    grid = np.linspace(lo + buf, hi - buf, LAMBDA_GRID_SIZE)
-    derivs = curve.curve.derivatives(grid)
-    return float(np.max(np.abs(derivs)))
+    derivs = curve.derivatives(np.linspace(lo + buf, hi - buf, LAMBDA_GRID_SIZE))
+    lam = float(np.max(np.abs(derivs)))
+    side = "from_above" if w == 1 else "from_below"
+    # the fit's sorted points: the bandwidth's standard deviation depends on their order
+    d0 = boundary_limit(curve.x, curve.y, anchor_cut, side, LocalPolyConfig(degree=1))
+    return d0, lam
+
+
+def _check_multiplier(multiplier) -> None:
+    """M scales the envelopes' slopes: a negative M would turn the worst case
+    into a best case, and an infinite or NaN one makes the objective NaN."""
+    if not 0.0 <= multiplier < np.inf:
+        raise DataError(f"smoothness multiplier M must be finite and nonnegative, "
+                        f"got {multiplier}")
 
 
 class BoundModel:
@@ -140,18 +121,17 @@ class BoundModel:
         missing = set(boundary) - set(lam)
         if missing:
             raise EstimationError(f"smoothness parameters missing for pairs {sorted(missing)}")
+        _check_multiplier(multiplier)
         q = design.q
         self.design = design
         self.boundary = dict(boundary)
         self.lam = dict(lam)
         self.multiplier = multiplier
-        self._d0 = {0: np.full((q + 1, q + 1), np.nan), 1: np.full((q + 1, q + 1), np.nan)}
-        self._lam = {0: np.full((q + 1, q + 1), np.nan), 1: np.full((q + 1, q + 1), np.nan)}
-        self._anchor = {0: np.full((q + 1, q + 1), np.nan), 1: np.full((q + 1, q + 1), np.nan)}
+        # [0] d0, [1] multiplier * lam and [2] the anchor cutoff, indexed [w, g, g']
+        self._table = np.full((3, 2, q + 1, q + 1), np.nan)
         for (w, g, gp), d0 in boundary.items():
-            self._d0[w][g, gp] = d0
-            self._lam[w][g, gp] = multiplier * lam[(w, g, gp)]
-            self._anchor[w][g, gp] = design.cutoff_of_rank(anchor_rank(w, g, gp))
+            self._table[:, w, g, gp] = (d0, multiplier * lam[(w, g, gp)],
+                                        design.cutoff_of_rank(anchor_rank(w, g, gp)))
 
     def with_multiplier(self, multiplier: float) -> "BoundModel":
         """The same envelopes with every base lambda scaled by `multiplier`."""
@@ -161,9 +141,7 @@ class BoundModel:
         x = np.asarray(x, dtype=float)
         g = np.asarray(g, dtype=np.int64)
         gp = np.asarray(gp, dtype=np.int64)
-        d0 = self._d0[w][g, gp]
-        lam = self._lam[w][g, gp]
-        anchor = self._anchor[w][g, gp]
+        d0, lam, anchor = self._table[:, w, g, gp]
         if np.isnan(d0).any():
             bad_g = np.atleast_1d(g)[np.atleast_1d(np.isnan(d0))][0]
             bad_gp = np.atleast_1d(gp)[np.atleast_1d(np.isnan(d0))][0]
@@ -184,7 +162,8 @@ class BoundModel:
         x = np.asarray(x, dtype=float)
         worst = np.zeros(x.shape)
         for (w, g, gp) in self.boundary:
-            worst = np.maximum(worst, self._lam[w][g, gp] * np.abs(x - self._anchor[w][g, gp]))
+            _, lam, anchor = self._table[:, w, g, gp]
+            worst = np.maximum(worst, lam * np.abs(x - anchor))
         return worst
 
 
@@ -195,9 +174,8 @@ def fit_bound_model(dataset: Dataset, nuisances: NuisanceTable) -> BoundModel:
     for (w, g, gp) in required_pairs(dataset.design):
         try:
             x, phi = difference_pseudo_outcomes(dataset, nuisances, w, g, gp)
-            curve = fit_difference_curve(x, phi, w, g, gp, dataset.design)
-            boundary[(w, g, gp)] = boundary_difference(curve)
-            lam[(w, g, gp)] = select_smoothness(curve)
+            anchor_cut = dataset.design.cutoff_of_rank(anchor_rank(w, g, gp))
+            boundary[(w, g, gp)], lam[(w, g, gp)] = difference_bound(x, phi, w, anchor_cut)
         except EstimationError as exc:
             raise EstimationError(
                 f"could not estimate the difference curve for pair "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, StudyDesign, ThresholdPolicy, UtilityConfig
+from .core import DataError, Dataset, StudyDesign, ThresholdPolicy, UtilityConfig
 from .estimator import (
     DRScores,
     compute_dr_scores,
@@ -22,7 +22,7 @@ from .estimator import (
     interval_index,
     make_folds,
 )
-from .idbounds import BoundModel, fit_bound_model
+from .idbounds import BoundModel, _check_multiplier, fit_bound_model
 
 # Two candidates within this absolute objective tolerance count as tied and
 # the one nearest the baseline cutoff wins.
@@ -47,16 +47,14 @@ def candidate_grid(dataset: Dataset | None, design: StudyDesign, mode: str = "ob
     cutoff and both endpoints c_1 and c_Q.
     """
     lo, hi = design.c_min, design.c_max
-    if mode == "observed":
+    m = _uniform_size(mode)
+    if m is None:
         if dataset is None:
             raise ValueError("mode 'observed' needs a dataset")
         xs = dataset.x
         base = xs[(xs >= lo) & (xs <= hi)]
-    elif mode.startswith("uniform"):
-        m = _parse_uniform(mode)
-        base = np.linspace(lo, hi, m)
     else:
-        raise ValueError(f"unknown grid mode {mode!r}; use 'observed' or 'uniform:m'")
+        base = np.linspace(lo, hi, m)
     by_rank = {}
     for rank in range(1, design.q + 1):
         cand = np.unique(np.concatenate([base, [lo, hi, design.cutoff_of_rank(rank)]]))
@@ -65,15 +63,19 @@ def candidate_grid(dataset: Dataset | None, design: StudyDesign, mode: str = "ob
     return CandidateGrid(by_rank)
 
 
-def _parse_uniform(mode: str) -> int:
-    # accepted spellings: "uniform:m" and "uniform(m)"
-    body = mode[len("uniform"):].strip(":()")
+def _uniform_size(mode: str) -> int | None:
+    """None for the "observed" grid mode, m for "uniform:m"; DataError otherwise."""
+    if mode == "observed":
+        return None
+    kind, colon, body = mode.partition(":")
+    if kind != "uniform" or not colon:
+        raise DataError(f"unknown grid mode {mode!r}; use 'observed' or 'uniform:m'")
     try:
         m = int(body)
     except ValueError:
-        raise ValueError(f"bad uniform grid spec {mode!r}; expected 'uniform:m'") from None
+        raise DataError(f"bad uniform grid spec {mode!r}; expected 'uniform:m'") from None
     if m < 2:
-        raise ValueError(f"uniform grid needs at least 2 points, got {m}")
+        raise DataError(f"uniform grid needs at least 2 points, got {m}")
     return m
 
 
@@ -183,6 +185,10 @@ class LearnerConfig:
     multiplier: float = 1.0
     utility: UtilityConfig | None = None
     clamp_eps: float = 0.01
+
+    def __post_init__(self):
+        _uniform_size(self.grid_mode)
+        _check_multiplier(self.multiplier)
 
 
 @dataclass(frozen=True)
@@ -303,6 +309,8 @@ def sensitivity_sweep(dataset: Dataset, multipliers, costs,
     costs = list(costs)
     if not multipliers or not costs:
         raise ValueError("sensitivity sweep needs at least one multiplier and one cost")
+    for m in multipliers:
+        _check_multiplier(m)
     if components is None:
         components = prepare_components(dataset, config or LearnerConfig())
     design = dataset.design

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Dataset, RdsafeError, StudyDesign, ThresholdPolicy, baseline_policy
+from .idbounds import _check_multiplier
 from .learner import LearnerConfig, learn_policy
 
 _CUTOFFS = {1: -850.0, 2: -571.0}
@@ -223,6 +224,9 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
+    # checked here, or every replication would count a bad M as a failure
+    for m in multipliers:
+        _check_multiplier(m)
     cells = []
     for scenario in scenarios:
         # the ground truth depends on the scenario, not on n or M

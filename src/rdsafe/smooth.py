@@ -22,7 +22,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import EstimationError
+from .core import DataError, EstimationError
 
 KERNELS = ("triangular", "epanechnikov", "uniform")
 
@@ -354,34 +354,34 @@ class CurveFit:
         return self.values(float(q))
 
 
-def boundary_limit(points, target: float, side: str, config: LocalPolyConfig | None = None) -> float:
-    """One-sided local estimate of the curve value at `target`.
+def boundary_limit(x, y, target: float, side: str, config: LocalPolyConfig | None = None) -> float:
+    """One-sided local estimate of the curve through (x, y) at `target`.
 
     Uses only points with x >= target (`from_above`) or x <= target
     (`from_below`); data on the other side cannot influence the result.
     """
     if side not in ("from_above", "from_below"):
         raise ValueError(f"side must be 'from_above' or 'from_below', got {side!r}")
-    pts = np.asarray(points, dtype=float)
-    mask = pts[:, 0] >= target if side == "from_above" else pts[:, 0] <= target
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = x >= target if side == "from_above" else x <= target
     config = config or LocalPolyConfig()
-    kept = pts[mask]
-    n_distinct = np.unique(kept[:, 0]).size if kept.size else 0
+    n_distinct = np.unique(x[keep]).size
     if n_distinct < config.degree + 2:
         raise EstimationError(
             f"boundary limit at {target} ({side}): only {n_distinct} distinct x values "
             f"on that side, need at least {config.degree + 2}"
         )
-    fit = CurveFit(kept[:, 0], kept[:, 1], config)
-    return fit.value(target)
+    return CurveFit(x[keep], y[keep], config).value(target)
 
 
 class PropensityModel:
     """Softmax group-membership probabilities on a polynomial basis of x.
 
-    Rank Q is the reference class. Raw probabilities are shrunk toward the
-    uniform vector, eps + (1 - Q*eps) * p, which keeps every component in
-    [eps, 1 - eps] and the sum exactly 1.
+    Rank Q is the reference class. Raw probabilities p are shrunk toward the
+    uniform vector, eps + (1 - Q*eps) * p. For 0 < eps < 1/Q, which the fit
+    requires, this keeps every component in [eps, 1 - (Q-1)*eps], keeps the
+    order of the raw probabilities and keeps the sum exactly 1.
     """
 
     def __init__(self, coefficients, basis_degree, clamp_eps, x_center, x_scale, n_groups,
@@ -399,17 +399,14 @@ class PropensityModel:
         z = (np.asarray(x, dtype=float) - self.x_center) / self.x_scale
         return np.vander(np.atleast_1d(z), self.basis_degree + 1, increasing=True)
 
-    def raw_probabilities(self, x) -> np.ndarray:
-        """Unclamped probability matrix, one row per query, columns = ranks 1..Q."""
+    def probabilities(self, x) -> np.ndarray:
+        """Clamped probability matrix, one row per query, columns = ranks 1..Q."""
         b = self._basis(x)
         logits = np.column_stack([b @ self.coefficients.T, np.zeros(b.shape[0])])
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
-        return expl / expl.sum(axis=1, keepdims=True)
-
-    def probabilities(self, x) -> np.ndarray:
+        p = expl / expl.sum(axis=1, keepdims=True)
         eps = self.clamp_eps
-        p = self.raw_probabilities(x)
         return eps + (1.0 - self.n_groups * eps) * p
 
 
@@ -433,9 +430,11 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
     """
     x = np.asarray(x, dtype=float)
     rank = np.asarray(rank, dtype=np.int64)
-    if not 0.0 < clamp_eps < 0.5:
-        raise ValueError(f"clamp eps must be in (0, 0.5), got {clamp_eps}")
     q = int(n_groups)
+    # from 1/Q on, the clamp's slope 1 - Q*eps is <= 0 and reverses the probabilities
+    if not 0.0 < clamp_eps < 1.0 / q:
+        raise DataError(f"clamp eps must be in (0, 1/Q) = (0, {1.0 / q:.6g}) for "
+                        f"Q = {q} groups, got {clamp_eps}")
     counts = np.bincount(rank, minlength=q + 1)[1:]
     if (counts < basis_degree + 2).any():
         small = int(np.argmin(counts)) + 1

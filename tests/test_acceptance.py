@@ -291,9 +291,9 @@ class TestCriterion8NonparametricExactness:
             ok &= bool(np.allclose(fit.values(q), np.polyval(coefs[::-1], q), atol=1e-8))
         # one-sided boundary limits ignore wrong-side data bit-exactly
         y = np.where(x >= 0, 1.0 + x, -100.0)
-        pts = np.column_stack([x, y])
-        ok &= boundary_limit(pts, 0.0, "from_above") == boundary_limit(
-            pts[pts[:, 0] >= 0], 0.0, "from_above")
+        right = x >= 0
+        ok &= boundary_limit(x, y, 0.0, "from_above") == boundary_limit(
+            x[right], y[right], 0.0, "from_above")
         # propensity clamp honored on perfectly separated groups
         design = StudyDesign({1: -5.0, 2: 5.0})
         x = np.linspace(-10, 10, 200)

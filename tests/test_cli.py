@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from rdsafe.cli import main
-from rdsafe.core import StudyDesign, UtilityConfig, load_dataset, serialize_dataset
+from rdsafe import learner
+from rdsafe.core import (
+    Dataset,
+    StudyDesign,
+    UtilityConfig,
+    load_dataset,
+    serialize_dataset,
+)
 from rdsafe.learner import LearnerConfig, learn_policy, sensitivity_sweep
 from rdsafe.simlab import ScenarioSpec, generate, regret_experiment
 
@@ -105,6 +112,60 @@ class TestLearn:
                    "--design", str(workdir / "design.yaml"),
                    "--out", str(tmp_path / "x"), "--clamp", "0.9"])
         assert rc == 3
+
+
+    def test_clamp_must_be_below_one_over_q(self, tmp_path, capsys):
+        # 0.4 < 0.5 passes the flag check, but with Q = 3 the clamp would
+        # reverse the group probabilities
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.5, 2.5, 600)
+        g = rng.integers(1, 4, x.size)
+        w = (x >= np.array([-1.0, 0.0, 1.0])[g - 1]).astype(int)
+        design = StudyDesign({1: -1.0, 2: 0.0, 3: 1.0})
+        (tmp_path / "data.csv").write_text(
+            serialize_dataset(Dataset(x, g, w, rng.normal(0, 0.3, x.size), design)))
+        (tmp_path / "design.yaml").write_text("1: -1.0\n2: 0.0\n3: 1.0\n")
+        rc = main(["learn", "--input", str(tmp_path / "data.csv"),
+                   "--design", str(tmp_path / "design.yaml"),
+                   "--out", str(tmp_path / "x"), "--clamp", "0.4"])
+        assert rc == 3
+        assert "1/Q" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestRejectedBeforeFitting:
+    """Bad flag values exit 3 before any nuisance is fitted."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the flags")
+
+        monkeypatch.setattr(learner, "fit_crossfit_nuisances", fit)
+
+    def run(self, workdir, tmp_path, *flags):
+        return main([flags[0], "--input", str(workdir / "data.csv"),
+                     "--design", str(workdir / "design.yaml"),
+                     "--out", str(tmp_path / "x"), *flags[1:]])
+
+    @pytest.mark.parametrize("grid", ["bogus", "uniform:1", "uniform(5)"])
+    @pytest.mark.parametrize("command", ["learn", "sensitivity"])
+    def test_bad_grid(self, workdir, tmp_path, capsys, command, grid):
+        assert self.run(workdir, tmp_path, command, "--grid", grid) == 3
+        assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("learn", "--multiplier", "inf"),
+                                       ("learn", "--multiplier", "nan"),
+                                       ("sensitivity", "--multipliers", "1", "inf")])
+    def test_infinite_multiplier(self, workdir, tmp_path, capsys, flags):
+        assert self.run(workdir, tmp_path, *flags) == 3
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_multiplier_in_simulate(self, tmp_path, capsys):
+        rc = main(["simulate", "--multipliers", "inf", "--reps", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSensitivity:

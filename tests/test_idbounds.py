@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import bf_components, bf_lower, random_bounds, random_toy
 from rdsafe.core import (
+    DataError,
     Dataset,
     EstimationError,
     StudyDesign,
@@ -15,14 +16,13 @@ from rdsafe.estimator import compute_dr_scores, oracle_nuisances
 from rdsafe.idbounds import (
     BoundModel,
     anchor_rank,
-    boundary_difference,
+    difference_bound,
     difference_pseudo_outcomes,
     fit_bound_model,
-    fit_difference_curve,
     required_pairs,
-    select_smoothness,
 )
 from rdsafe.learner import value_breakdown
+from rdsafe.smooth import CurveFit, LocalPolyConfig
 
 
 class TestAnchorRule:
@@ -139,38 +139,41 @@ class TestPseudoOutcomes:
             difference_pseudo_outcomes(small, nus2, 0, 1, 2)
 
 
-class TestDifferenceCurve:
+def quadratic_fit(x, phi):
+    """The local quadratic curve that `difference_bound` fits."""
+    return CurveFit(x, phi, LocalPolyConfig(degree=2))
+
+
+class TestDifferenceBound:
     def test_constant_pseudo_outcomes(self):
         x = np.linspace(5, 12, 60)
         phi = np.full_like(x, 3.25)
-        design = StudyDesign({1: -5.0, 2: 5.0})
-        curve = fit_difference_curve(x, phi, 1, 2, 1, design)
         grid = np.linspace(5.5, 11.5, 11)
-        assert np.allclose(curve.curve.values(grid), 3.25, atol=1e-8)
-        assert np.allclose(curve.curve.derivatives(grid), 0.0, atol=1e-8)
-        assert select_smoothness(curve) == pytest.approx(0.0, abs=1e-8)
+        curve = quadratic_fit(x, phi)
+        assert np.allclose(curve.values(grid), 3.25, atol=1e-8)
+        assert np.allclose(curve.derivatives(grid), 0.0, atol=1e-8)
+        d0, lam = difference_bound(x, phi, 1, 5.0)
+        assert d0 == pytest.approx(3.25, abs=1e-8)
+        assert lam == pytest.approx(0.0, abs=1e-8)
 
     def test_affine_pseudo_outcomes_derivative(self):
         x = np.linspace(5, 12, 60)
         phi = 1.0 + 0.4 * x
-        design = StudyDesign({1: -5.0, 2: 5.0})
-        curve = fit_difference_curve(x, phi, 1, 2, 1, design)
         grid = np.linspace(5.5, 11.5, 11)
-        assert np.allclose(curve.curve.derivatives(grid), 0.4, atol=1e-8)
-        assert select_smoothness(curve) == pytest.approx(0.4, abs=1e-6)
+        assert np.allclose(quadratic_fit(x, phi).derivatives(grid), 0.4, atol=1e-8)
+        _, lam = difference_bound(x, phi, 1, 5.0)
+        assert lam == pytest.approx(0.4, abs=1e-6)
 
     def test_too_few_pairs(self):
-        design = StudyDesign({1: -5.0, 2: 5.0})
         with pytest.raises(EstimationError, match="at least 5"):
-            fit_difference_curve(np.arange(4.0) + 5, np.zeros(4), 1, 2, 1, design)
+            difference_bound(np.arange(4.0) + 5, np.zeros(4), 1, 5.0)
 
     def test_multiplier_zero_gives_zero_lambda(self):
         x = np.linspace(5, 12, 60)
         phi = np.sin(x)
         design = StudyDesign({1: -5.0, 2: 5.0})
-        curve = fit_difference_curve(x, phi, 1, 2, 1, design)
-        d0 = boundary_difference(curve)
-        model = BoundModel(design, {(1, 2, 1): d0}, {(1, 2, 1): select_smoothness(curve)})
+        d0, lam = difference_bound(x, phi, 1, 5.0)
+        model = BoundModel(design, {(1, 2, 1): d0}, {(1, 2, 1): lam})
         assert model.lower(1, 8.0, 2, 1) < model.upper(1, 8.0, 2, 1)
         collapsed = model.with_multiplier(0.0)
         for x in (5.0, 8.0, 12.0):
@@ -180,9 +183,10 @@ class TestDifferenceCurve:
         x = np.linspace(5, 12, 80)
         phi = 2.0 - 0.1 * x
         design = StudyDesign({1: -5.0, 2: 5.0})
-        curve = fit_difference_curve(x, phi, 1, 2, 1, design)
-        assert curve.anchor_cutoff == 5.0
-        assert boundary_difference(curve) == pytest.approx(2.0 - 0.5, abs=1e-8)
+        anchor_cut = design.cutoff_of_rank(anchor_rank(1, 2, 1))
+        assert anchor_cut == 5.0
+        d0, _ = difference_bound(x, phi, 1, anchor_cut)
+        assert d0 == pytest.approx(2.0 - 0.5, abs=1e-8)
 
 
 class TestBoundModel:
@@ -222,6 +226,15 @@ class TestBoundModel:
         model = BoundModel(design, boundary, lam)
         with pytest.raises(EstimationError, match="w=0"):
             model.lower(0, 0.5, 1, 2)
+
+    @pytest.mark.parametrize("mult", [-1.0, np.inf, np.nan])
+    def test_bad_multiplier_rejected(self, mult):
+        design = StudyDesign({1: 0.0, 2: 1.0})
+        model = BoundModel(design, {(1, 2, 1): 0.5}, {(1, 2, 1): 0.1})
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            BoundModel(design, {(1, 2, 1): 0.5}, {(1, 2, 1): 0.1}, multiplier=mult)
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            model.with_multiplier(mult)
 
     def test_missing_lambda_rejected(self):
         design = StudyDesign({1: 0.0, 2: 1.0})

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import random_bounds, random_toy
+from rdsafe import learner
 from rdsafe.core import (
+    DataError,
     Dataset,
     StudyDesign,
     ThresholdPolicy,
@@ -210,13 +212,39 @@ def three_groups():
     return three_group_dataset(seed=4, n=1800)
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("mode", ["bogus", "uniform:1", "uniform(5)", "uniform5", "uniform:"])
+    def test_bad_grid_mode_rejected_up_front(self, mode):
+        with pytest.raises(DataError, match="grid"):
+            LearnerConfig(grid_mode=mode)
+        with pytest.raises(DataError, match="grid"):
+            candidate_grid(None, StudyDesign({1: 0.0, 2: 1.0}), mode)
+
+    @pytest.mark.parametrize("m", [-1.0, -1e-300, np.inf, np.nan])
+    def test_bad_multiplier_rejected(self, m, three_groups, monkeypatch):
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            LearnerConfig(multiplier=m)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the multipliers")
+
+        monkeypatch.setattr(learner, "prepare_components", no_fit)
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            sensitivity_sweep(three_groups, [1.0, m], [0.0])
+
+    def test_learn_from_components_checks_multiplier(self, three_groups):
+        comps = prepare_components(three_groups, LearnerConfig(seed=3))
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            learn_from_components(comps, multiplier=-1.0)
+
+
 class TestOneBoundModelPerDataset:
     def test_sweep_fits_each_boundary_once(self, three_groups, monkeypatch):
         calls = []
         real = idbounds.boundary_limit
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(idbounds, "boundary_limit", counting)

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from oracles import direct_true_value
 from rdsafe import simlab
-from rdsafe.core import ThresholdPolicy, baseline_policy
+from rdsafe.core import DataError, ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
     ScenarioSpec,
     _draw_population,
@@ -221,6 +221,11 @@ class TestRegretExperiment:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             regret_experiment(["A"], [100], [1.0], reps=1, seed=0)
+
+    @pytest.mark.parametrize("m", [-1.0, np.inf])
+    def test_bad_multiplier_is_not_a_failed_replication(self, m):
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            regret_experiment(["A"], [400], [1.0, m], reps=2, seed=0, mc_size=1_000)
 
     def test_programming_error_propagates(self, monkeypatch):
         # only estimation failures count as failed replications

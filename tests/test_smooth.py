@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_local_fit
 from rdsafe import smooth
-from rdsafe.core import Dataset, EstimationError, StudyDesign
+from rdsafe.core import DataError, Dataset, EstimationError, StudyDesign
 from rdsafe.estimator import make_folds
 from rdsafe.simlab import ScenarioSpec, generate
 from rdsafe.smooth import (
@@ -271,30 +271,28 @@ class TestBoundaryLimit:
         rng = np.random.default_rng(3)
         x = np.sort(rng.uniform(-1, 1, 300))
         y = np.where(x >= 0, 1.0 + x, -50.0 + x)  # huge jump at 0
-        pts = np.column_stack([x, y])
-        above = boundary_limit(pts, 0.0, "from_above")
+        above = boundary_limit(x, y, 0.0, "from_above")
         # bit-exact: same answer with the left side deleted entirely
-        only_right = pts[pts[:, 0] >= 0]
-        assert above == boundary_limit(only_right, 0.0, "from_above")
+        right = x >= 0
+        assert above == boundary_limit(x[right], y[right], 0.0, "from_above")
         assert abs(above - 1.0) < 0.1
 
     def test_sides_differ_across_jump(self):
         x = np.linspace(-1, 1, 400)  # even count: no point exactly at 0
         y = np.where(x > 0, 1.0, 0.0)
-        pts = np.column_stack([x, y])
-        hi = boundary_limit(pts, 0.0, "from_above")
-        lo = boundary_limit(pts, 0.0, "from_below")
+        hi = boundary_limit(x, y, 0.0, "from_above")
+        lo = boundary_limit(x, y, 0.0, "from_below")
         assert hi == pytest.approx(1.0, abs=1e-6)
         assert lo == pytest.approx(0.0, abs=1e-6)
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            boundary_limit(poly_points([0.0, 1.0]), 0.0, "sideways")
+            boundary_limit(*poly_points([0.0, 1.0]).T, 0.0, "sideways")
 
     def test_too_few_points_on_side(self):
         pts = poly_points([0.0, 1.0], lo=-2.0, hi=-0.5)
         with pytest.raises(EstimationError, match="from_above"):
-            boundary_limit(pts, 0.0, "from_above")
+            boundary_limit(*pts.T, 0.0, "from_above")
 
 
 def two_group_dataset(n=300, seed=0, sep=False):
@@ -326,6 +324,25 @@ class TestPropensity:
         p = model.probabilities(np.array([-10.0, 10.0]))
         assert (p >= 0.02 - 1e-12).all()
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("q, eps", [(2, 0.5), (3, 1 / 3), (3, 0.4), (4, 0.25), (4, 0.3)])
+    def test_clamp_at_or_above_one_over_q_rejected(self, q, eps):
+        rng = np.random.default_rng(q)
+        x = rng.uniform(-1.0, 1.0, 400)
+        with pytest.raises(DataError, match=r"1/Q"):
+            _fit_propensity_arrays(x, rng.integers(1, q + 1, x.size), q, clamp_eps=eps)
+
+    def test_clamp_below_one_over_q_keeps_order(self):
+        # 1 - Q*eps > 0, so the clamp keeps each row's ranking of the groups
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3.0, 3.0, 800)
+        rank = np.where(rng.random(x.size) < 0.5, 1 + (x > -1) + (x > 0) + (x > 1),
+                        rng.integers(1, 5, x.size))
+        q = np.linspace(-3.0, 3.0, 61)
+        loose = _fit_propensity_arrays(x, rank, 4, clamp_eps=0.01).probabilities(q)
+        tight = _fit_propensity_arrays(x, rank, 4, clamp_eps=0.24).probabilities(q)
+        assert (np.argsort(loose, axis=1) == np.argsort(tight, axis=1)).all()
+        assert (tight >= 0.24).all() and np.allclose(tight.sum(axis=1), 1.0, atol=1e-12)
 
     def test_loglik_path_monotone(self):
         ds = two_group_dataset()
