@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EstimationError
+from .core import DataError, Dataset, EstimationError
 from .smooth import CurveFit, LocalPolyConfig, _fit_propensity_arrays
 
 
@@ -30,10 +30,14 @@ class FoldAssignment:
         self.fold_of.flags.writeable = False
 
 
+def _check_n_folds(k):
+    if k < 2:
+        raise DataError(f"need at least 2 folds, got {k}")
+
+
 def make_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     """Random K-fold split, stratified so per-group fold counts differ by <= 1."""
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+    _check_n_folds(k)
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(dataset), dtype=np.int64)
     for rank in range(1, dataset.design.q + 1):

@@ -17,12 +17,14 @@ import numpy as np
 from .core import DataError, Dataset, StudyDesign, ThresholdPolicy, UtilityConfig
 from .estimator import (
     DRScores,
+    _check_n_folds,
     compute_dr_scores,
     fit_crossfit_nuisances,
     interval_index,
     make_folds,
 )
 from .idbounds import BoundModel, _check_multiplier, fit_bound_model
+from .smooth import _check_clamp
 
 # Two candidates within this absolute objective tolerance count as tied and
 # the one nearest the baseline cutoff wins.
@@ -189,6 +191,7 @@ class LearnerConfig:
     def __post_init__(self):
         _uniform_size(self.grid_mode)
         _check_multiplier(self.multiplier)
+        _check_n_folds(self.n_folds)
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,8 @@ class PipelineComponents:
 
 def prepare_components(dataset: Dataset, config: LearnerConfig | None = None) -> PipelineComponents:
     config = config or LearnerConfig()
+    # the clamp's range depends on Q, so it is checked here rather than in the config
+    _check_clamp(config.clamp_eps, dataset.design.q)
     folds = make_folds(dataset, config.n_folds, config.seed)
     nuisances = fit_crossfit_nuisances(dataset, folds, clamp_eps=config.clamp_eps)
     return PipelineComponents(

@@ -63,7 +63,9 @@ class ScenarioSpec:
 
     def basis(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=float) - self.x_center
-        return np.stack([np.ones_like(z), z, z ** 2, z ** 3], axis=-1)
+        # products, not `z ** 3`: numpy's power calls libm pow for the cube
+        z2 = z * z
+        return np.stack([np.ones_like(z), z, z2, z2 * z], axis=-1)
 
     def difference(self, w, x) -> np.ndarray:
         """True cross-group difference d(w, x) = m(w,x,2) - m(w,x,1)."""
@@ -157,10 +159,13 @@ def true_value(policy: ThresholdPolicy, spec: ScenarioSpec,
     are made from `seed`. Draws made for another scenario raise `ValueError`.
     """
     pop = _population_for(spec, draws, mc_size, seed)
-    # draws carry the labels 1 and 2, which need not be the cutoff ranks
-    pi = pop.x >= np.where(pop.g == 1, policy.cutoffs[1], policy.cutoffs[2])
+    # draws carry the labels 1 and 2, which need not be the cutoff ranks; the
+    # mask is boolean algebra because np.where of two scalars costs as much as
+    # the rest of the call
+    one = pop.g == 1
+    pi = ((pop.x >= policy.cutoffs[1]) & one) | ((pop.x >= policy.cutoffs[2]) & ~one)
     m = np.where(pi, pop.treated, pop.control)
-    return float(np.mean(m) - cost * np.mean(pi))
+    return float(np.mean(m) - cost * (np.count_nonzero(pi) / pi.size))
 
 
 def oracle_policy(spec: ScenarioSpec, grid_size: int = 200,
@@ -178,7 +183,9 @@ def oracle_policy(spec: ScenarioSpec, grid_size: int = 200,
     for rank in range(1, design.q + 1):
         label = design.label_of(rank)
         own = np.flatnonzero(pop.g == label)
-        own = own[np.argsort(pop.x[own], kind="stable")]
+        # any sort order will do: draws of one group with equal x have equal
+        # arm means, so every order sums the same sequence of numbers
+        own = own[np.argsort(pop.x[own])]
         xo = pop.x[own]
         # value contribution of this group at cutoff c, via suffix sums of the
         # per-draw treat-minus-control gain

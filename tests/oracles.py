@@ -176,6 +176,36 @@ def direct_true_value(policy, spec, x, g, cost=0.0):
     return float(np.mean(m) - cost * np.mean(pi))
 
 
+def stable_oracle_search(pop, design, grid, cost=0.0):
+    """Per-group grid search of `simlab.oracle_policy`, draw by draw in a stable
+    sort order: label -> (suffix value at each grid point, chosen cutoff).
+
+    A grid point c treats the group's draws with x >= c; its suffix value adds
+    their treat-minus-control gains from the largest x down, as a running sum.
+    Ties within 1e-12 of the best go to the point nearest the baseline cutoff,
+    then to the smaller one.
+    """
+    out = {}
+    for rank in range(1, design.q + 1):
+        label = design.label_of(rank)
+        own = sorted((i for i in range(len(pop.x)) if pop.g[i] == label),
+                     key=lambda i: pop.x[i])
+        suffix = [0.0] * (len(own) + 1)
+        for k in range(len(own) - 1, -1, -1):
+            i = own[k]
+            suffix[k] = suffix[k + 1] + ((float(pop.treated[i]) - cost) - float(pop.control[i]))
+        vals = []
+        for c in grid:
+            below = sum(1 for i in own if pop.x[i] < c)
+            vals.append(suffix[below])
+        best = max(vals)
+        base = design.cutoff_of_rank(rank)
+        tied = [float(c) for c, v in zip(grid, vals) if v >= best - 1e-12]
+        nearest = min(abs(c - base) for c in tied)
+        out[label] = (np.array(vals), min(c for c in tied if abs(c - base) == nearest))
+    return out
+
+
 def dense_kernel_weights(u, kernel):
     a = np.abs(u)
     if kernel == "triangular":

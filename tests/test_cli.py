@@ -28,6 +28,18 @@ def workdir(tmp_path_factory):
     return d
 
 
+def write_three_group_inputs(d):
+    """data.csv and design.yaml of 600 records in three groups, cutoffs -1, 0, 1."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2.5, 2.5, 600)
+    g = rng.integers(1, 4, x.size)
+    w = (x >= np.array([-1.0, 0.0, 1.0])[g - 1]).astype(int)
+    design = StudyDesign({1: -1.0, 2: 0.0, 3: 1.0})
+    (d / "data.csv").write_text(
+        serialize_dataset(Dataset(x, g, w, rng.normal(0, 0.3, x.size), design)))
+    (d / "design.yaml").write_text("1: -1.0\n2: 0.0\n3: 1.0\n")
+
+
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -117,14 +129,7 @@ class TestLearn:
     def test_clamp_must_be_below_one_over_q(self, tmp_path, capsys):
         # 0.4 < 0.5 passes the flag check, but with Q = 3 the clamp would
         # reverse the group probabilities
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-2.5, 2.5, 600)
-        g = rng.integers(1, 4, x.size)
-        w = (x >= np.array([-1.0, 0.0, 1.0])[g - 1]).astype(int)
-        design = StudyDesign({1: -1.0, 2: 0.0, 3: 1.0})
-        (tmp_path / "data.csv").write_text(
-            serialize_dataset(Dataset(x, g, w, rng.normal(0, 0.3, x.size), design)))
-        (tmp_path / "design.yaml").write_text("1: -1.0\n2: 0.0\n3: 1.0\n")
+        write_three_group_inputs(tmp_path)
         rc = main(["learn", "--input", str(tmp_path / "data.csv"),
                    "--design", str(tmp_path / "design.yaml"),
                    "--out", str(tmp_path / "x"), "--clamp", "0.4"])
@@ -160,6 +165,13 @@ class TestRejectedBeforeFitting:
     def test_infinite_multiplier(self, workdir, tmp_path, capsys, flags):
         assert self.run(workdir, tmp_path, *flags) == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["learn", "sensitivity"])
+    def test_clamp_at_or_above_one_over_q(self, tmp_path, capsys, command):
+        write_three_group_inputs(tmp_path)
+        assert self.run(tmp_path, tmp_path, command, "--clamp", "0.4") == 3
+        assert "1/Q" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_infinite_multiplier_in_simulate(self, tmp_path, capsys):
         rc = main(["simulate", "--multipliers", "inf", "--reps", "2",

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import bf_components, bf_lower, random_bounds, random_toy
 from rdsafe.core import (
+    DataError,
     Dataset,
     EstimationError,
     StudyDesign,
@@ -55,6 +56,11 @@ class TestFolds:
         ds = Dataset(*zip(*recs), design, min_group_size=1)
         with pytest.raises(EstimationError, match="fewer than"):
             make_folds(ds, 5, seed=0)
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_folds_is_a_data_error(self, k):
+        with pytest.raises(DataError, match="at least 2 folds"):
+            make_folds(simple_dataset(100), k, seed=0)
 
 
 class TestIntervalIndex:

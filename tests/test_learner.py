@@ -232,6 +232,20 @@ class TestConfigChecks:
         with pytest.raises(DataError, match="finite and nonnegative"):
             sensitivity_sweep(three_groups, [1.0, m], [0.0])
 
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(DataError, match="at least 2 folds"):
+            LearnerConfig(n_folds=k)
+
+    @pytest.mark.parametrize("eps", [1 / 3, 0.4, 0.6, 0.0])
+    def test_clamp_checked_against_q_before_fitting(self, eps, three_groups, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the clamp")
+
+        monkeypatch.setattr(learner, "fit_crossfit_nuisances", no_fit)
+        with pytest.raises(DataError, match="1/Q"):
+            learn_policy(three_groups, LearnerConfig(clamp_eps=eps))
+
     def test_learn_from_components_checks_multiplier(self, three_groups):
         comps = prepare_components(three_groups, LearnerConfig(seed=3))
         with pytest.raises(DataError, match="finite and nonnegative"):

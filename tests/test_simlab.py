@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from oracles import direct_true_value
+from oracles import direct_true_value, stable_oracle_search
 from rdsafe import simlab
 from rdsafe.core import DataError, ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
+    Population,
     ScenarioSpec,
     _draw_population,
     generate,
@@ -182,6 +183,39 @@ class TestOraclePolicy:
         draws = _draw_population(spec, 100_000, seed=3)
         want = oracle_policy(spec, mc_size=100_000, seed=3, cost=cost).cutoffs
         assert oracle_policy(spec, draws=draws, cost=cost).cutoffs == want
+
+    @pytest.mark.parametrize("cost", [0.0, 0.3])
+    def test_repeated_x_match_a_stable_sort(self, cost, monkeypatch):
+        # draws of one group with equal x have equal arm means, as in a drawn
+        # population, so the search may sort them in any order; many sit
+        # exactly on grid points
+        spec = ScenarioSpec(scenario="B", n=10)
+        grid = np.linspace(-850.0, -571.0, 40)
+        rng = np.random.default_rng(7)
+        levels = np.concatenate([grid[::3], rng.uniform(-1000.0, -1.0, 20)])
+        pick = rng.integers(0, levels.size, 3000)
+        g = rng.integers(1, 3, pick.size)
+        means = rng.normal(0.0, 1.0, (2, levels.size, 3))
+        pop = Population("B", spec.sigma_eps, levels[pick], g,
+                         means[0, pick, g] + 0.05, means[1, pick, g])
+        searched = []
+
+        class SpyNumpy:
+            # simlab's numpy, recording the suffix values each group maximises
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def max(self, a, *args, **kwargs):
+                searched.append(np.array(a))
+                return np.max(a, *args, **kwargs)
+
+        monkeypatch.setattr(simlab, "np", SpyNumpy())
+        got = oracle_policy(spec, grid_size=grid.size, draws=pop, cost=cost)
+        want = stable_oracle_search(pop, spec.design, grid, cost)
+        assert got.cutoffs == {label: cut for label, (_, cut) in want.items()}
+        assert len(searched) == 2
+        for vals, label in zip(searched, (1, 2)):
+            assert np.array_equal(vals, want[label][0])
 
     def test_draws_of_another_scenario_rejected(self):
         draws = _draw_population(ScenarioSpec(scenario="A", n=10), 1_000, seed=0)

@@ -137,6 +137,10 @@ class TestMomentEngine:
     # a query beyond the data where an oracle summing row by row was 3e-10 off
     @example(seed=1419, n=18318, degree=2, kernel="triangular", offset=0.0, spread=1.0,
              ties=True, auto=False, n_queries=13)
+    # a query h/4 beyond four clustered points: the normal equations in
+    # powers of t are too ill-conditioned for the engine's 1e-10
+    @example(seed=671, n=5, degree=2, kernel="triangular", offset=0.0, spread=1.0,
+             ties=True, auto=True, n_queries=1)
     def test_matches_dense_oracle(self, seed, n, degree, kernel, offset, spread, ties, auto,
                                   n_queries):
         rng = np.random.default_rng(seed)
@@ -256,6 +260,31 @@ class TestAutoBandwidth:
         h = auto_bandwidth(xs, min_points=3)
         # any query near x=5 must still see 3 points within one bandwidth
         assert h >= 10.0 - 0.02
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 5000),
+           exponent=st.floats(-6, 6), offset=st.sampled_from([0.0, 1.0, -1e3]),
+           levels=st.sampled_from([None, 2, 3, 7, 50]))
+    @example(seed=0, n=5, exponent=0.0, offset=0.0, levels=None)
+    # an upper quartile where a + (b - a) t and b - (b - a) (1 - t) round apart
+    @example(seed=34, n=8, exponent=0.0, offset=0.0, levels=None)
+    @example(seed=1, n=4001, exponent=6.0, offset=-1e3, levels=2)
+    def test_quartiles_are_numpys_linear_percentiles(self, seed, n, exponent, offset, levels):
+        # the bandwidth reads its quartiles off the sorted x; they must be
+        # np.percentile's bit for bit, ties and all
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        z = rng.normal(size=n) if levels is None else rng.integers(0, levels, n).astype(float)
+        xs = (z + offset) * scale
+        srt = np.sort(xs)
+        q75, q25 = np.percentile(srt, [75, 25])
+        assert smooth._sorted_quantile(srt, 0.75) == q75
+        assert smooth._sorted_quantile(srt, 0.25) == q25
+        if srt[0] < srt[-1]:
+            sd = float(np.std(xs))
+            spread = min(sd, (q75 - q25) / 1.349) if q75 > q25 else sd
+            floor = float(np.max(srt[2:] - srt[:-2]))
+            assert auto_bandwidth(xs) == max(1.06 * spread * n ** (-0.2), floor)
 
     def test_identical_points_rejected(self):
         with pytest.raises(EstimationError):
