@@ -316,15 +316,15 @@ def sensitivity_sweep(dataset: Dataset, multipliers, costs,
         raise ValueError("sensitivity sweep needs at least one multiplier and one cost")
     for m in multipliers:
         _check_multiplier(m)
+    utilities = [UtilityConfig(cost=c) for c in costs]
     if components is None:
         components = prepare_components(dataset, config or LearnerConfig())
     design = dataset.design
     rows = []
     cells = {}
     for m in multipliers:
-        for c in costs:
-            cells[(m, c)] = learn_from_components(
-                components, multiplier=m, utility=UtilityConfig(cost=c))
+        for c, utility in zip(costs, utilities):
+            cells[(m, c)] = learn_from_components(components, multiplier=m, utility=utility)
     for rank in range(1, design.q + 1):
         label = design.label_of(rank)
         base_cut = design.cutoff_of_rank(rank)

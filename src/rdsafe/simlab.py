@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RdsafeError, StudyDesign, ThresholdPolicy, baseline_policy
+from .core import DataError, Dataset, RdsafeError, StudyDesign, ThresholdPolicy, baseline_policy
 from .idbounds import _check_multiplier
 from .learner import LearnerConfig, learn_policy
 
@@ -40,9 +40,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.scenario not in ("A", "B"):
-            raise ValueError(f"scenario must be 'A' or 'B', got {self.scenario!r}")
+            raise DataError(f"scenario must be 'A' or 'B', got {self.scenario!r}")
         if self.n < 1:
-            raise ValueError(f"sample size must be positive, got {self.n}")
+            raise DataError(f"sample size must be positive, got {self.n}")
 
     @property
     def design(self) -> StudyDesign:
@@ -230,10 +230,13 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
     given the master seed.
     """
     if reps < 2:
-        raise ValueError(f"need at least 2 replications, got {reps}")
+        raise DataError(f"need at least 2 replications, got {reps}")
     # checked here, or every replication would count a bad M as a failure
     for m in multipliers:
         _check_multiplier(m)
+    # every spec is checked before the first population is drawn
+    specs = {(scenario, n): ScenarioSpec(scenario=scenario, n=n)
+             for scenario in scenarios for n in n_list}
     cells = []
     for scenario in scenarios:
         # the ground truth depends on the scenario, not on n or M
@@ -242,8 +245,8 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
         v_base = true_value(baseline_policy(truth.design), truth, draws=draws)
         v_star = true_value(oracle_policy(truth, draws=draws), truth, draws=draws)
         for n in n_list:
+            spec = specs[(scenario, n)]
             for m_index, m in enumerate(multipliers):
-                spec = ScenarioSpec(scenario=scenario, n=n)
                 reg_base, reg_star = [], []
                 failures = 0
                 for rep in range(reps):

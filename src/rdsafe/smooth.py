@@ -1,12 +1,16 @@
 """One-dimensional nonparametric estimation.
 
-Kernel-weighted local polynomial regression (values and first derivatives,
+Triangular-kernel local polynomial regression (values and first derivatives,
 including one-sided boundary limits) and a multinomial-logistic group
 membership model on a polynomial basis of the standardized running variable.
 
+The one kernel is the triangular K(u) = max(0, 1 - |u|): every fit the
+pipeline makes is a value or slope at or next to a boundary, where it is the
+MSE-optimal kernel (Cheng, Fan & Marron 1997) and the RD default.
+
 Local fits are evaluated from running sums (the updating idea of Seifert,
-Brockmann, Engel & Gasser 1994 and Fan & Marron 1994). The kernels are
-polynomials in x on either side of the query, so a query's normal equations
+Brockmann, Engel & Gasser 1994 and Fan & Marron 1994). The kernel weight is
+linear in x on either side of the query, so a query's normal equations
 follow from sums of t^k and y t^k over its window, t = (x - centre) / h. The
 sums are kept per frame of three blocks one bandwidth wide, measured from the
 frame's own centre, so they stay small and precise wherever x lies (x near
@@ -24,34 +28,21 @@ import numpy as np
 
 from .core import DataError, EstimationError
 
-KERNELS = ("triangular", "epanechnikov", "uniform")
-
 # Bandwidth widening schedule for rank-deficient local fits: x1.5 steps, capped at 3x.
 _WIDEN_FACTORS = (1.5, 2.25, 3.0)
-
-
-def _kernel_weights(u: np.ndarray, kernel: str) -> np.ndarray:
-    a = np.abs(u)
-    if kernel == "triangular":
-        return np.maximum(0.0, 1.0 - a)
-    if kernel == "epanechnikov":
-        return np.maximum(0.0, 0.75 * (1.0 - u * u))
-    if kernel == "uniform":
-        return np.where(a <= 1.0, 0.5, 0.0)
-    raise ValueError(f"unknown kernel {kernel!r}; choose one of {KERNELS}")
 
 
 @dataclass(frozen=True)
 class LocalPolyConfig:
     degree: int = 1
-    kernel: str = "triangular"
     bandwidth: float | Literal["auto"] = "auto"
+    # the one kernel; a class attribute, not a field, kept because
+    # perfbench/tracer.py reads `fit.config.kernel`
+    kernel = "triangular"
 
     def __post_init__(self):
         if self.degree not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; choose one of {KERNELS}")
         if self.bandwidth != "auto":
             bw = float(self.bandwidth)
             if not np.isfinite(bw) or bw <= 0:
@@ -98,12 +89,12 @@ def _sorted_quantile(srt, p):
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
-def _local_solve(xtr, ytr, q, degree, kernel, h):
+def _local_solve(xtr, ytr, q, degree, h):
     """Single-query weighted polynomial fit centered at q; returns (value, deriv)."""
     for factor in (1.0,) + _WIDEN_FACTORS:
         hh = h * factor
         u = (xtr - q) / hh
-        wts = _kernel_weights(u, kernel)
+        wts = np.maximum(0.0, 1.0 - np.abs(u))
         active = wts > 0
         if active.sum() < degree + 2 or np.unique(xtr[active]).size < degree + 1:
             continue
@@ -124,10 +115,6 @@ def _local_solve(xtr, ytr, q, degree, kernel, h):
         f"points even after widening the bandwidth to {h * _WIDEN_FACTORS[-1]:g}"
     )
 
-
-# Powers of t that a kernel's weight K(t + s) adds on either side of the query:
-# the uniform weight is constant, the triangular linear, the Epanechnikov quadratic.
-_KERNEL_ORDER = {"uniform": 0, "triangular": 1, "epanechnikov": 2}
 
 # Relative half-width of the bands around q - h and q + h whose points are
 # tested with the dense kernel's own arithmetic: 2^-50 (max |q| + h) is at
@@ -194,58 +181,48 @@ def _band_count(x, q, h, start, stop, test):
     return np.bincount(owner, weights=inside, minlength=q.size).astype(np.intp)
 
 
-def _windows(x, q, h, kernel):
-    """Rows lo, hi and split: the points with kernel weight > 0 are lo..hi-1.
+def _windows(x, q, h):
+    """Rows lo, hi and split: the points with triangular weight > 0 are lo..hi-1.
 
-    A point counts exactly when `_kernel_weights((x - q) / h, kernel) > 0`:
-    |u| < 1, or |u| <= 1 for the uniform kernel. Points outside the narrow
-    bands around q - h and q + h are placed by comparing x with the band
-    edges; points inside a band are tested with the kernel's own arithmetic.
-    split is the first point with x >= q; lo <= split <= hi, since u < 0 < 1
-    left of q and u >= 0 > -1 from q on.
+    A point counts exactly when max(0, 1 - |u|) > 0 with u = (x - q) / h,
+    that is |u| < 1. Points outside the narrow bands around q - h and q + h
+    are placed by comparing x with the band edges; points inside a band are
+    tested with the kernel's own arithmetic. split is the first point with
+    x >= q; lo <= split <= hi, since u < 0 < 1 left of q and u >= 0 > -1 from
+    q on.
     """
     m = _EDGE_MARGIN * (float(np.abs(q).max(initial=0.0)) + h)
     cut = np.searchsorted(x, q + np.array([[-h + m], [h - m], [0.0], [-h - m], [h + m]]))
     ends = cut[:3]
     if (cut[3:] != cut[:2]).any():
-        if kernel == "uniform":
-            ends[0] -= _band_count(x, q, h, cut[3], cut[0], lambda u: u >= -1.0)
-            ends[1] += _band_count(x, q, h, cut[1], cut[4], lambda u: u <= 1.0)
-        else:
-            ends[0] -= _band_count(x, q, h, cut[3], cut[0], lambda u: u > -1.0)
-            ends[1] += _band_count(x, q, h, cut[1], cut[4], lambda u: u < 1.0)
+        ends[0] -= _band_count(x, q, h, cut[3], cut[0], lambda u: u > -1.0)
+        ends[1] += _band_count(x, q, h, cut[1], cut[4], lambda u: u < 1.0)
     return ends
 
 
-def _moment_solve(table: _MomentTable, q, ends, frame, degree, kernel, h):
+def _moment_solve(table: _MomentTable, q, ends, frame, degree, h):
     """Local fits from a frame's sums between the window ends of each query.
 
-    `ends` holds the rows lo, hi (and split, for the triangular kernel) of
-    each query's window. The kernel-weighted sums of t^k follow from the
-    plain ones, since K(t + s), with s = (centre - q) / h, is a polynomial in
-    t on either side of the query. The normal equations are solved in powers
-    of t and the fitted polynomial is shifted binomially to the query,
-    t = -s. The kernel weight is dropped by a constant factor, which changes
-    neither the solution nor the condition test. Queries whose equations in
-    t may have a condition number above `_MAX_CONDITION` get NaN.
+    `ends` holds the rows lo, hi and split of each query's window. The
+    triangular-weighted sums of t^k follow from the plain ones, since the
+    weight 1 - |t + s|, with s = (centre - q) / h, is linear in t on either
+    side of the query. The normal equations are solved in powers of t and
+    the fitted polynomial is shifted binomially to the query, t = -s. Queries
+    whose equations in t may have a condition number above `_MAX_CONDITION`
+    get NaN.
     """
     p = degree + 1
-    top = 2 * degree + _KERNEL_ORDER[kernel]
+    top = 2 * degree + 1
     rows = table.sums[:, :, ends + table.base[frame]]  # (sum or error, column, end, query)
     diff = rows[:, :, 1:] - rows[:, :, :1]
     sums = diff[0] + diff[1]
     d = sums[:, 0]
     with np.errstate(all="ignore"):
         s = (table.centre[frame] - q) / h
-        # kernel-weighted sums of t^k (first rows) and y t^k (from row top + 1)
-        if kernel == "uniform":
-            w = d
-        elif kernel == "triangular":
-            # 1 - |u| = (1 - s) - t, plus 2 (s + t) where u < 0
-            left = sums[:, 1]
-            w = (1.0 - s) * d[:-1] - d[1:] + 2.0 * (s * left[:-1] + left[1:])
-        else:
-            w = (1.0 - s * s) * d[:-2] - 2.0 * s * d[1:-1] - d[2:]
+        # kernel-weighted sums of t^k (first rows) and y t^k (from row top + 1):
+        # 1 - |u| = (1 - s) - t, plus 2 (s + t) where u < 0
+        left = sums[:, 1]
+        w = (1.0 - s) * d[:-1] - d[1:] + 2.0 * (s * left[:-1] + left[1:])
         # G c = r with G[i, j] = m[i + j], solved through G = L D L' (positive
         # definite once the window holds p distinct points)
         m, r = w[: 2 * degree + 1], w[top + 1 : top + 1 + p]
@@ -277,7 +254,7 @@ def _moment_solve(table: _MomentTable, q, ends, frame, degree, kernel, h):
 
 
 class CurveFit:
-    """A kernel-weighted local polynomial regression, evaluated lazily.
+    """A triangular-kernel local polynomial regression, evaluated lazily.
 
     Stores the training points; each query solves the weighted least-squares
     polynomial centered there. `values` returns the intercept, `derivatives`
@@ -328,9 +305,9 @@ class CurveFit:
         order = np.argsort(queries)
         q = queries[order]
         x, h = self.x, self.bandwidth
-        degree, kernel = self.config.degree, self.config.kernel
+        degree = self.config.degree
         block = self._block
-        ends = _windows(x, q, h, kernel)
+        ends = _windows(x, q, h)
         lo, hi = ends[0], ends[1]
         b_lo, b_mid, b_hi = block[np.minimum(np.stack([lo, (lo + hi) // 2, hi - 1]), x.size - 1)]
         ok = (hi - lo >= degree + 2) & (b_hi - b_lo <= 2)
@@ -346,15 +323,13 @@ class CurveFit:
             if table is None or (table.frames[np.minimum(np.searchsorted(table.frames, frame),
                                                          table.frames.size - 1)] != frame).any():
                 held = frame if table is None else np.concatenate([table.frames, frame])
-                extra = _KERNEL_ORDER[kernel]
                 table = self._moments = _moment_table(x, self.y, h, block, np.unique(held),
-                                                      2 * degree + extra, degree + extra)
-            rows = ends[:, sel] if kernel == "triangular" else ends[:2, sel]
-            values[sel], derivs[sel] = _moment_solve(table, q[sel], rows,
+                                                      2 * degree + 1, degree + 1)
+            values[sel], derivs[sel] = _moment_solve(table, q[sel], ends[:, sel],
                                                      np.searchsorted(table.frames, frame),
-                                                     degree, kernel, h)
+                                                     degree, h)
         for i in np.flatnonzero(~(np.isfinite(values) & np.isfinite(derivs))):
-            values[i], derivs[i] = _local_solve(x, self.y, float(q[i]), degree, kernel, h)
+            values[i], derivs[i] = _local_solve(x, self.y, float(q[i]), degree, h)
         fits = np.empty((2, q.size))
         fits[:, order] = values, derivs
         return fits[0], fits[1]
@@ -382,14 +357,11 @@ def boundary_limit(x, y, target: float, side: str, config: LocalPolyConfig | Non
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = x >= target if side == "from_above" else x <= target
-    config = config or LocalPolyConfig()
-    n_distinct = np.unique(x[keep]).size
-    if n_distinct < config.degree + 2:
-        raise EstimationError(
-            f"boundary limit at {target} ({side}): only {n_distinct} distinct x values "
-            f"on that side, need at least {config.degree + 2}"
-        )
-    return CurveFit(x[keep], y[keep], config).value(target)
+    try:
+        fit = CurveFit(x[keep], y[keep], config)
+    except EstimationError as exc:
+        raise EstimationError(f"boundary limit at {target} ({side}): {exc}") from exc
+    return fit.value(target)
 
 
 class PropensityModel:

@@ -206,21 +206,17 @@ def stable_oracle_search(pop, design, grid, cost=0.0):
     return out
 
 
-def dense_kernel_weights(u, kernel):
-    a = np.abs(u)
-    if kernel == "triangular":
-        return np.maximum(0.0, 1.0 - a)
-    if kernel == "epanechnikov":
-        return np.maximum(0.0, 0.75 * (1.0 - u * u))
-    return np.where(a <= 1.0, 0.5, 0.0)
+def dense_kernel_weights(u):
+    """Triangular kernel weights max(0, 1 - |u|)."""
+    return np.maximum(0.0, 1.0 - np.abs(u))
 
 
-def dense_widened_solve(x, y, q, degree, kernel, h):
+def dense_widened_solve(x, y, q, degree, h):
     """Single-query least squares, widening h by 1.5, 2.25 and 3 if rank deficient."""
     for factor in (1.0, 1.5, 2.25, 3.0):
         hh = h * factor
         u = (x - q) / hh
-        wts = dense_kernel_weights(u, kernel)
+        wts = dense_kernel_weights(u)
         active = wts > 0
         if active.sum() < degree + 2 or np.unique(x[active]).size < degree + 1:
             continue
@@ -236,7 +232,7 @@ def dense_widened_solve(x, y, q, degree, kernel, h):
     return None
 
 
-def dense_local_fit(x, y, queries, degree, kernel, h):
+def dense_local_fit(x, y, queries, degree, h):
     """Local polynomial values and derivatives from dense kernel windows.
 
     For each chunk of 64 sorted queries, every training point within reach is
@@ -263,7 +259,7 @@ def dense_local_fit(x, y, queries, degree, kernel, h):
         lo = np.searchsorted(x, q.min() - h, side="left")
         hi = np.searchsorted(x, q.max() + h, side="right")
         u = (x[None, lo:hi] - q[:, None]) / h
-        wts = dense_kernel_weights(u, kernel)
+        wts = dense_kernel_weights(u)
         counts = (wts > 0).sum(axis=1)
         basis = [np.ones_like(u)]
         for _ in range(1, p):
@@ -282,6 +278,6 @@ def dense_local_fit(x, y, queries, degree, kernel, h):
                 values[idx[good]] = beta[:, 0]
                 derivs[idx[good]] = beta[:, 1] / h
         for i in np.flatnonzero(~good | ~np.isfinite(values[idx]) | ~np.isfinite(derivs[idx])):
-            res = dense_widened_solve(x, y, float(q[i]), degree, kernel, h)
+            res = dense_widened_solve(x, y, float(q[i]), degree, h)
             values[idx[i]], derivs[idx[i]] = res if res is not None else (np.nan, np.nan)
     return values, derivs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdsafe.cli import main
-from rdsafe import learner
+from rdsafe import learner, simlab
 from rdsafe.core import (
     Dataset,
     StudyDesign,
@@ -178,6 +178,23 @@ class TestRejectedBeforeFitting:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ("", ["--sizes", "1000", "0"], "sample size must be positive"),
+        # a config file can name a scenario that argparse's choices never see
+        ("scenarios: [A, C]\n", [], "scenario must be"),
+    ], ids=["size", "scenario"])
+    def test_bad_simulate_settings(self, tmp_path, capsys, monkeypatch, config, flags, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a population before checking the settings")
+
+        monkeypatch.setattr(simlab, "_draw_population", draw)
+        (tmp_path / "sim.yaml").write_text(config)
+        rc = main(["simulate", "--config", str(tmp_path / "sim.yaml"), *flags, "--reps", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSensitivity:

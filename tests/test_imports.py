@@ -52,9 +52,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def top_level_names(tree):
+    """(line, name) of each top-level def, class and assigned name, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield node.lineno, target.id
+
+
 def dead_definitions(modules: dict):
-    """(module, name) of each top-level def or class that the `__init__` module
-    does not import and no module reads, as a name or an attribute.
+    """(module, name) of each top-level def, class or assigned constant that
+    the `__init__` module does not import and no module reads, as a name or an
+    attribute.
 
     `modules` maps module names, `__init__` among them, to their source.
     """
@@ -63,13 +76,12 @@ def dead_definitions(modules: dict):
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [(module, node.name) for module, tree in trees.items() for node in tree.body
-            if isinstance(node, defs) and node.name not in named]
+    return [(module, name) for module, tree in trees.items()
+            for _, name in top_level_names(tree) if name not in named]
 
 
 def test_dead_definition_scanner():
@@ -84,11 +96,14 @@ def test_dead_definition_scanner():
             "def via_attribute():\n"
             "    return 2\n"
             "def unused():\n"
-            "    return b.via_attribute()\n"
+            "    return b.via_attribute() + READ + b.ANNOTATED\n"
+            "READ = 1\n"
+            "UNREAD = 2\n"
+            "__all__ = []\n"
         ),
-        "b": "class Orphan:\n    pass\n",
+        "b": "class Orphan:\n    pass\nANNOTATED: int = 3\n",
     }
-    assert dead_definitions(modules) == [("a", "unused"), ("b", "Orphan")]
+    assert dead_definitions(modules) == [("a", "unused"), ("a", "UNREAD"), ("b", "Orphan")]
 
 
 def test_no_dead_definitions():

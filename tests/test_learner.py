@@ -232,6 +232,15 @@ class TestConfigChecks:
         with pytest.raises(DataError, match="finite and nonnegative"):
             sensitivity_sweep(three_groups, [1.0, m], [0.0])
 
+    @pytest.mark.parametrize("c", [-1.0, np.nan, np.inf])
+    def test_bad_cost_rejected_before_fitting(self, c, three_groups, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the costs")
+
+        monkeypatch.setattr(learner, "fit_crossfit_nuisances", no_fit)
+        with pytest.raises(DataError, match="treatment cost"):
+            sensitivity_sweep(three_groups, [1.0], [0.0, c])
+
     @pytest.mark.parametrize("k", [1, 0])
     def test_fewer_than_two_folds_rejected(self, k):
         with pytest.raises(DataError, match="at least 2 folds"):

@@ -55,7 +55,7 @@ class TestGenerate:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_bad_scenario(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="scenario must be"):
             ScenarioSpec(scenario="C", n=10)
 
 
@@ -253,8 +253,20 @@ class TestRegretExperiment:
             cell.regret_baseline_mean + gap, abs=1e-12)
 
     def test_reps_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="at least 2 replications"):
             regret_experiment(["A"], [100], [1.0], reps=1, seed=0)
+
+    @pytest.mark.parametrize("scenarios, sizes, message", [
+        (["A", "B"], [400, 0], "sample size must be positive"),
+        (["A", "C"], [400], "scenario must be"),
+    ], ids=["size", "scenario"])
+    def test_bad_specs_rejected_before_drawing(self, monkeypatch, scenarios, sizes, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a population before checking the specs")
+
+        monkeypatch.setattr(simlab, "_draw_population", draw)
+        with pytest.raises(DataError, match=message):
+            regret_experiment(scenarios, sizes, [1.0], reps=2, seed=0, mc_size=1_000)
 
     @pytest.mark.parametrize("m", [-1.0, np.inf])
     def test_bad_multiplier_is_not_a_failed_replication(self, m):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,17 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_local_fit
+from oracles import dense_kernel_weights, dense_local_fit
 from rdsafe import smooth
 from rdsafe.core import DataError, Dataset, EstimationError, StudyDesign
 from rdsafe.estimator import make_folds
 from rdsafe.simlab import ScenarioSpec, generate
 from rdsafe.smooth import (
-    KERNELS,
     CurveFit,
     LocalPolyConfig,
     _fit_propensity_arrays,
-    _kernel_weights,
     _windows,
     auto_bandwidth,
     boundary_limit,
@@ -30,10 +29,9 @@ def poly_points(coeffs, n=80, lo=-2.0, hi=3.0, seed=0):
 
 
 class TestLocalPoly:
-    @pytest.mark.parametrize("kernel", ["triangular", "epanechnikov", "uniform"])
-    def test_reproduces_linear_exactly(self, kernel):
+    def test_reproduces_linear_exactly(self):
         pts = poly_points([1.5, -2.0])
-        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=1, kernel=kernel))
+        fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=1))
         q = np.linspace(-1.5, 2.5, 40)
         assert np.allclose(fit.values(q), 1.5 - 2.0 * q, atol=1e-8)
         assert np.allclose(fit.derivatives(q), -2.0, atol=1e-8)
@@ -59,6 +57,12 @@ class TestLocalPoly:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             CurveFit(np.array([1.0, 2.0, 3.0, np.nan]), np.zeros(4))
+
+    def test_triangular_is_the_only_kernel(self):
+        assert [f.name for f in dataclasses.fields(LocalPolyConfig)] == ["degree", "bandwidth"]
+        assert CurveFit(*poly_points([0.0, 1.0]).T).config.kernel == "triangular"
+        with pytest.raises(TypeError):
+            LocalPolyConfig(kernel="uniform")
 
     def test_fixed_bandwidth_used(self):
         pts = poly_points([0.0, 1.0])
@@ -102,23 +106,23 @@ def assert_matches_dense(fit, q):
     derivatives are compared as derivative * bandwidth.
     """
     cfg, h = fit.config, fit.bandwidth
-    want, want_d = dense_local_fit(fit.x, fit.y, q, cfg.degree, cfg.kernel, h)
+    want, want_d = dense_local_fit(fit.x, fit.y, q, cfg.degree, h)
     if np.isnan(want).any():
         with pytest.raises(EstimationError):
             fit.values(q)
         return
     got, got_d = fit.values(q), fit.derivatives(q)
     for i, qi in enumerate(q):
-        inside = _kernel_weights((fit.x - qi) / h, cfg.kernel) > 0
+        inside = dense_kernel_weights((fit.x - qi) / h) > 0
         rms = float(np.sqrt(np.mean(fit.y[inside] ** 2))) if inside.any() else 0.0
         scale = max(abs(want[i]), rms)
         assert abs(got[i] - want[i]) <= 1e-10 * scale, (qi, got[i], want[i])
         assert abs(got_d[i] - want_d[i]) * h <= 1e-10 * scale, (qi, got_d[i], want_d[i])
 
 
-def window_range(x, q, h, kernel):
+def window_range(x, q, h):
     """[lo, hi) of the points the dense kernel weighs, checked to be contiguous."""
-    inside = np.flatnonzero(_kernel_weights((x - q) / h, kernel) > 0)
+    inside = np.flatnonzero(dense_kernel_weights((x - q) / h) > 0)
     if inside.size == 0:
         return None
     assert inside.size == inside[-1] - inside[0] + 1
@@ -128,21 +132,20 @@ def window_range(x, q, h, kernel):
 class TestMomentEngine:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 20_000),
-           degree=st.sampled_from([1, 2]), kernel=st.sampled_from(KERNELS),
+           degree=st.sampled_from([1, 2]),
            offset=st.sampled_from([0.0, -1000.0, 1e4]), spread=st.sampled_from([1.0, 40.0, 1e4]),
            ties=st.booleans(), auto=st.booleans(), n_queries=st.integers(1, 60))
     # a case that needs the running sums' error terms
-    @example(seed=9890041, n=9422, degree=2, kernel="triangular", offset=0.0, spread=1.0,
+    @example(seed=9890041, n=9422, degree=2, offset=0.0, spread=1.0,
              ties=False, auto=False, n_queries=31)
     # a query beyond the data where an oracle summing row by row was 3e-10 off
-    @example(seed=1419, n=18318, degree=2, kernel="triangular", offset=0.0, spread=1.0,
+    @example(seed=1419, n=18318, degree=2, offset=0.0, spread=1.0,
              ties=True, auto=False, n_queries=13)
     # a query h/4 beyond four clustered points: the normal equations in
     # powers of t are too ill-conditioned for the engine's 1e-10
-    @example(seed=671, n=5, degree=2, kernel="triangular", offset=0.0, spread=1.0,
+    @example(seed=671, n=5, degree=2, offset=0.0, spread=1.0,
              ties=True, auto=True, n_queries=1)
-    def test_matches_dense_oracle(self, seed, n, degree, kernel, offset, spread, ties, auto,
-                                  n_queries):
+    def test_matches_dense_oracle(self, seed, n, degree, offset, spread, ties, auto, n_queries):
         rng = np.random.default_rng(seed)
         x = offset + spread * rng.uniform(0.0, 1.0, n)
         if ties:
@@ -151,30 +154,28 @@ class TestMomentEngine:
         if np.unique(x).size < max(degree + 2, 5):
             return
         bandwidth = "auto" if auto else float(spread * rng.uniform(0.02, 0.4))
-        fit = CurveFit(x, y, LocalPolyConfig(degree=degree, kernel=kernel, bandwidth=bandwidth))
+        fit = CurveFit(x, y, LocalPolyConfig(degree=degree, bandwidth=bandwidth))
         # queries up to a quarter bandwidth beyond the data, in random order
         h = fit.bandwidth
         q = rng.uniform(fit.x[0] - h / 4, fit.x[-1] + h / 4, n_queries)
         assert_matches_dense(fit, q)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("start, step", [(-1000.0, 0.1), (-50.0, 0.25)])
-    def test_grid_points_on_the_window_edge(self, kernel, degree, start, step):
+    def test_grid_points_on_the_window_edge(self, degree, start, step):
         # h is three grid steps, so |u| = 1 at the points three steps from a
         # query: exactly on the dyadic grid, within rounding on the other
         h = 3 * step
         x = start + step * np.arange(400)
         y = np.cos(x) + 0.01 * (x - start) ** 2
-        fit = CurveFit(x, y, LocalPolyConfig(degree=degree, kernel=kernel, bandwidth=h))
+        fit = CurveFit(x, y, LocalPolyConfig(degree=degree, bandwidth=h))
         q = x[::-7].copy()
         for qi in q:
-            lo, hi, _ = _windows(fit.x, np.array([qi]), h, kernel)
-            assert (int(lo[0]), int(hi[0])) == window_range(fit.x, qi, h, kernel)
+            lo, hi, _ = _windows(fit.x, np.array([qi]), h)
+            assert (int(lo[0]), int(hi[0])) == window_range(fit.x, qi, h)
         assert_matches_dense(fit, q)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_tied_x_at_window_edges(self, kernel):
+    def test_tied_x_at_window_edges(self):
         # 25 points each at q - h, q + h and their neighbouring floats
         q, h = -1000.25, 0.5
         edges = [q - h, q + h]
@@ -182,18 +183,18 @@ class TestMomentEngine:
         x = np.concatenate([np.repeat(edges, 25), np.repeat(beside, 25),
                             np.linspace(q - 0.4, q + 0.4, 40)])
         y = np.random.default_rng(0).normal(size=x.size)
-        fit = CurveFit(x, y, LocalPolyConfig(degree=2, kernel=kernel, bandwidth=h))
+        fit = CurveFit(x, y, LocalPolyConfig(degree=2, bandwidth=h))
         queries = np.array([q, np.nextafter(q, np.inf), q - 0.1, q + 0.17])
         for qi in queries:
-            lo, hi, split = _windows(fit.x, np.array([qi]), h, kernel)
-            assert (int(lo[0]), int(hi[0])) == window_range(fit.x, qi, h, kernel)
+            lo, hi, split = _windows(fit.x, np.array([qi]), h)
+            assert (int(lo[0]), int(hi[0])) == window_range(fit.x, qi, h)
             assert int(split[0]) == int(np.searchsorted(fit.x, qi))
         assert_matches_dense(fit, queries)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), kernel=st.sampled_from(KERNELS),
-           scale=st.sampled_from([1e-3, 1.0, 1e4]), offset=st.sampled_from([0.0, -1000.0, 1e4]))
-    def test_window_membership_is_the_dense_kernels(self, seed, kernel, scale, offset):
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+           offset=st.sampled_from([0.0, -1000.0, 1e4]))
+    def test_window_membership_is_the_dense_kernels(self, seed, scale, offset):
         # points one float away from q +- h on either side, with ties
         rng = np.random.default_rng(seed)
         q = offset + scale * rng.uniform(-1.0, 1.0, 8)
@@ -202,9 +203,9 @@ class TestMomentEngine:
         near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
         x = np.sort(np.concatenate([np.repeat(near, 3), edges,
                                     offset + scale * rng.uniform(-1.5, 1.5, 200)]))
-        lo, hi, split = _windows(x, q, h, kernel)
+        lo, hi, split = _windows(x, q, h)
         for i, qi in enumerate(q):
-            want = window_range(x, qi, h, kernel) or (lo[i], lo[i])
+            want = window_range(x, qi, h) or (lo[i], lo[i])
             assert (lo[i], hi[i]) == want
             assert split[i] == np.searchsorted(x, qi)
 
