@@ -9,7 +9,6 @@ from .core import (
     RdsafeError,
     StudyDesign,
     ThresholdPolicy,
-    UtilityConfig,
     baseline_policy,
     load_dataset,
     serialize_dataset,

@@ -25,7 +25,6 @@ from .core import (
     DesignError,
     EstimationError,
     StudyDesign,
-    UtilityConfig,
     baseline_policy,
     load_dataset,
 )
@@ -97,23 +96,10 @@ def _merged_config(args, file_cfg: dict) -> dict:
 
 
 def _validate_ranges(cfg: dict):
-    checks = [
-        ("folds", lambda v: v >= 2, "must be >= 2"),
-        ("reps", lambda v: v >= 2, "must be >= 2"),
-        ("clamp", lambda v: 0 < v < 0.5, "must be in (0, 0.5)"),
-        ("cost", lambda v: v >= 0, "must be nonnegative"),
-        ("multiplier", lambda v: 0 <= v < np.inf, "must be finite and nonnegative"),
-    ]
-    for key, ok, msg in checks:
-        if key in cfg and cfg[key] is not None and not ok(cfg[key]):
-            raise DataError(f"--{key} {msg}, got {cfg[key]}")
+    # the library checks every value's range before it fits or draws anything
     for key in ("multipliers", "costs"):
-        if key in cfg and cfg[key] is not None:
-            vals = cfg[key]
-            if not vals:
-                raise DataError(f"--{key} needs at least one value")
-            if not all(0 <= v < np.inf for v in vals):
-                raise DataError(f"--{key} values must be finite and nonnegative")
+        if key in cfg and cfg[key] is not None and not cfg[key]:
+            raise DataError(f"--{key} needs at least one value")
 
 
 def _learner_config(cfg: dict) -> LearnerConfig:
@@ -122,7 +108,7 @@ def _learner_config(cfg: dict) -> LearnerConfig:
         seed=int(cfg.get("seed", 0)),
         grid_mode=str(cfg.get("grid", "observed")),
         multiplier=float(cfg.get("multiplier", 1.0)),
-        utility=UtilityConfig(cost=float(cfg.get("cost", 0.0))),
+        cost=float(cfg.get("cost", 0.0)),
         clamp_eps=float(cfg.get("clamp", 0.01)),
     )
 
@@ -158,8 +144,7 @@ def cmd_learn(cfg: dict) -> int:
     dataset = load_dataset(cfg["input"], design)
     lcfg = _learner_config(cfg)
     components = prepare_components(dataset, lcfg)
-    learned = learn_from_components(components, multiplier=lcfg.multiplier,
-                                    utility=lcfg.utility)
+    learned = learn_from_components(components, multiplier=lcfg.multiplier, cost=lcfg.cost)
     base = baseline_policy(design)
     result = {
         "provenance": _provenance(cfg),

@@ -13,7 +13,6 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -125,18 +124,6 @@ class StudyDesign:
         return f"StudyDesign({self._cutoffs!r})"
 
 
-@dataclass(frozen=True)
-class UtilityConfig:
-    """Cost-adjusted utility u(y, w) = y - cost * w."""
-
-    cost: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(self.cost, "treatment cost")
-        if self.cost < 0:
-            raise DataError(f"treatment cost must be nonnegative, got {self.cost}")
-
-
 class Dataset:
     """Validated sharp-RD observations under a design, as read-only columns.
 
@@ -195,12 +182,6 @@ class Dataset:
 
     def __len__(self):
         return self.x.size
-
-    def utility_outcomes(self, cfg: UtilityConfig | None) -> np.ndarray:
-        """Outcomes after the cost adjustment u(y, w) = y - C*w."""
-        if cfg is None or cfg.cost == 0.0:
-            return self.y
-        return self.y - cfg.cost * self.w
 
 
 class ThresholdPolicy:

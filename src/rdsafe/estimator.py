@@ -4,10 +4,11 @@ The doubly-robust scores feed the disagreement term of the empirical
 objective; `learner` combines them with the agreement term and the partially
 identified term (envelopes from `idbounds`) record by record.
 
-Nuisance conditional-mean curves are always fit on the raw observed outcome;
-cost-adjusted utilities are applied analytically downstream (the treatment is
-deterministic given (x, g), so u(y, w) shifts the conditional mean by a known
-constant). This is what lets a sensitivity sweep reuse one set of fits.
+Nuisance curves and DR scores are always built on the raw observed outcome.
+The treatment is deterministic given (x, g), so a treatment cost C shifts the
+utility u(y, w) = y - C*w by a known constant on treated records;
+`learner._record_contributions` applies that shift, and a sensitivity sweep
+reuses one set of fits and scores for every cost.
 """
 from __future__ import annotations
 
@@ -141,26 +142,16 @@ class DRScores:
 
     gamma1[i, g-1] extrapolates treated outcomes left of group g's cutoff;
     gamma0[i, g-1] extrapolates control outcomes to its right. Both are zero
-    outside the extrapolation region of their group. own1 marks the gamma1
-    entries that are group g's own treated-mean terms, the only entries a
-    treatment cost moves.
+    outside the extrapolation region of their group. The scores are on the
+    raw outcome: they carry no treatment cost.
     """
 
     gamma1: np.ndarray
     gamma0: np.ndarray
-    own1: np.ndarray
 
     def __post_init__(self):
         self.gamma1.flags.writeable = False
         self.gamma0.flags.writeable = False
-        self.own1.flags.writeable = False
-
-    def with_cost(self, cost: float) -> "DRScores":
-        """Scores under utility y - cost*w: own treated-mean terms drop by cost."""
-        if cost == 0.0:
-            return self
-        return DRScores(np.where(self.own1, self.gamma1 - cost, self.gamma1),
-                        self.gamma0, self.own1)
 
 
 def interval_index(x: np.ndarray, design) -> np.ndarray:
@@ -175,15 +166,13 @@ def interval_index(x: np.ndarray, design) -> np.ndarray:
 
 
 def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable) -> DRScores:
-    """Doubly-robust scores for every record and group on the raw outcome;
-    `DRScores.with_cost` applies a treatment cost."""
+    """Doubly-robust scores for every record and group on the raw outcome."""
     design = dataset.design
     cuts = design.sorted_cutoffs
     q = design.q
     n = len(dataset)
     gamma1 = np.zeros((n, q))
     gamma0 = np.zeros((n, q))
-    own1 = np.zeros((n, q), dtype=bool)
     in_r = (dataset.x >= cuts[0]) & (dataset.x <= cuts[-1])
     sub = np.flatnonzero(in_r)
     x = dataset.x[sub]
@@ -204,7 +193,6 @@ def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable) -> DRScores:
         vals[own] = m_lo[own]
         vals[ref] = (e[rows[ref], g - 1] / e_j[ref]) * (y[ref] - m_lo[ref])
         gamma1[sub, g - 1] = vals
-        own1[sub, g - 1] = own
     for g in range(1, q):
         active = j >= g
         own = active & (rank == g)
@@ -213,4 +201,4 @@ def compute_dr_scores(dataset: Dataset, nuisances: NuisanceTable) -> DRScores:
         vals[own] = m_hi[own]
         vals[ref] = (e[rows[ref], g - 1] / e_jp[ref]) * (y[ref] - m_hi[ref])
         gamma0[sub, g - 1] = vals
-    return DRScores(gamma1, gamma0, own1)
+    return DRScores(gamma1, gamma0)

@@ -4,9 +4,10 @@ The empirical objective is a sum of per-record, per-group contributions, and
 group g's contributions depend only on g's cutoff, so the joint argmax over
 the product grid equals the per-group argmaxes. `_record_contributions` gives
 each record's identified, DR and worst-case xi2 terms under treat/no-treat for
-one group. The grid search reduces every candidate to a suffix-sum lookup on
-them, and `value_breakdown` picks each record's branch at a policy's cutoffs
-from the same arrays, so the objective is computed in one place.
+one group, net of the treatment cost, which it alone applies. The grid search
+reduces every candidate to a suffix-sum lookup on them, and `value_breakdown`
+picks each record's branch at a policy's cutoffs from the same arrays, so the
+objective is computed in one place.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Dataset, StudyDesign, ThresholdPolicy, UtilityConfig
+from .core import DataError, Dataset, StudyDesign, ThresholdPolicy, _check_finite
 from .estimator import (
     DRScores,
     _check_n_folds,
@@ -27,8 +28,16 @@ from .idbounds import BoundModel, _check_multiplier, fit_bound_model
 from .smooth import _check_clamp
 
 # Two candidates within this absolute objective tolerance count as tied and
-# the one nearest the baseline cutoff wins.
+# the one nearest the baseline cutoff wins: `_pick` applies it to the learner's
+# search and to `simlab.oracle_policy`'s search of the true value.
 TIE_TOL = 1e-12
+
+
+def _check_cost(cost):
+    """The treatment cost C of the utility u(y, w) = y - C*w: finite and >= 0."""
+    _check_finite(cost, "treatment cost")
+    if cost < 0:
+        raise DataError(f"treatment cost must be nonnegative, got {cost}")
 
 
 @dataclass(frozen=True)
@@ -82,32 +91,33 @@ def _uniform_size(mode: str) -> int | None:
 
 
 def _record_contributions(dataset: Dataset, rank: int, scores: DRScores, bounds: BoundModel,
-                          utility: UtilityConfig | None):
+                          cost: float):
     """Per-record objective contributions under pi_i=1 (a) and pi_i=0 (b).
 
     Each is a (3, n) array whose rows are the identified, DR and worst-case
-    xi2 terms. Covers all records, not just group `rank`: other groups'
-    records enter the DR term for this group through the reference-group IPW
-    pieces, but their agreement and partially identified terms belong to
-    their own group.
+    xi2 terms of the utility y - cost*w. Covers all records, not just group
+    `rank`: other groups' records enter the DR term for this group through
+    the reference-group IPW pieces, but their agreement and partially
+    identified terms belong to their own group.
     """
     design = dataset.design
     x = dataset.x
     # group-`rank` baseline indicator, applied to every record's x: the DR
     # scores extrapolate group-`rank` outcomes at other groups' records
     tilde = x >= design.cutoff_of_rank(rank)
-    y = dataset.utility_outcomes(utility)
     own = dataset.rank == rank
+    in_r = own & (x >= design.c_min) & (x <= design.c_max)
     a = np.zeros((3, len(dataset)))
     b = np.zeros((3, len(dataset)))
-    # agreement term: own-group records where the candidate matches baseline
-    a[0] = np.where(own & tilde, y, 0.0)
-    b[0] = np.where(own & ~tilde, y, 0.0)
-    # DR disagreement term: all records carry group-`rank` scores
-    a[1] = np.where(~tilde, scores.gamma1[:, rank - 1], 0.0)
+    # agreement term: own-group records where the candidate matches baseline;
+    # under pi_i=1 they are treated, so they pay the cost
+    a[0] = np.where(own & tilde, dataset.y - cost, 0.0)
+    b[0] = np.where(own & ~tilde, dataset.y, 0.0)
+    # DR disagreement term: all records carry group-`rank` scores; the
+    # own-group records in [c_1, c_Q] that pi_i=1 newly treats pay the cost
+    a[1] = np.where(~tilde, scores.gamma1[:, rank - 1] - np.where(in_r, cost, 0.0), 0.0)
     b[1] = np.where(tilde, scores.gamma0[:, rank - 1], 0.0)
     # partially identified term: own-group records only, via lower envelopes
-    in_r = own & (x >= design.c_min) & (x <= design.c_max)
     idx = np.flatnonzero(in_r)
     if idx.size:
         ref = interval_index(x[idx], design)
@@ -133,12 +143,17 @@ def _candidate_values(dataset: Dataset, a: np.ndarray, b: np.ndarray, order: np.
     """
     a = a.sum(axis=0)
     b = b.sum(axis=0)
-    xs = dataset.x[order]
-    diff = (a - b)[order]
     total_b = float(np.sum(b))
+    return (total_b + _suffix_at(dataset.x[order], (a - b)[order], candidates)) / len(dataset)
+
+
+def _suffix_at(xs: np.ndarray, diff: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """For each candidate c, the sum of `diff` over the entries with xs >= c.
+
+    `xs` is sorted ascending and `diff` is in its order.
+    """
     suffix = np.concatenate([np.cumsum(diff[::-1])[::-1], [0.0]])
-    pos = np.searchsorted(xs, candidates, side="left")
-    return (total_b + suffix[pos]) / len(dataset)
+    return suffix[np.searchsorted(xs, candidates, side="left")]
 
 
 @dataclass(frozen=True)
@@ -161,12 +176,12 @@ def _breakdown(acc: np.ndarray) -> ValueBreakdown:
 
 
 def value_breakdown(dataset: Dataset, policy: ThresholdPolicy, scores: DRScores,
-                    bounds: BoundModel, utility: UtilityConfig | None = None) -> ValueBreakdown:
+                    bounds: BoundModel, cost: float = 0.0) -> ValueBreakdown:
     """Worst-case empirical objective of a policy against the status quo,
     term by term."""
     acc = np.zeros((3, len(dataset)))
     for rank in range(1, dataset.design.q + 1):
-        a, b = _record_contributions(dataset, rank, scores, bounds, utility)
+        a, b = _record_contributions(dataset, rank, scores, bounds, cost)
         acc += np.where(dataset.x >= policy.cutoff_by_rank[rank - 1], a, b)
     return _breakdown(acc)
 
@@ -185,12 +200,13 @@ class LearnerConfig:
     seed: int = 0
     grid_mode: str = "observed"
     multiplier: float = 1.0
-    utility: UtilityConfig | None = None
+    cost: float = 0.0
     clamp_eps: float = 0.01
 
     def __post_init__(self):
         _uniform_size(self.grid_mode)
         _check_multiplier(self.multiplier)
+        _check_cost(self.cost)
         _check_n_folds(self.n_folds)
 
 
@@ -210,10 +226,11 @@ class LearnedPolicy:
 
 @dataclass(frozen=True)
 class PipelineComponents:
-    """Policy-independent pieces fitted once per dataset: raw-outcome DR scores
-    (costs are applied by `DRScores.with_cost`), the bound envelopes at M = 1
-    (multipliers are applied by `BoundModel.with_multiplier`), the candidate
-    grid and the stable sort order of x."""
+    """Policy-independent pieces fitted once per dataset: the DR scores on the
+    raw outcome (a treatment cost is applied by `_record_contributions`), the
+    bound envelopes at M = 1 (multipliers are applied by
+    `BoundModel.with_multiplier`), the candidate grid and the stable sort
+    order of x."""
 
     dataset: Dataset
     order: np.ndarray
@@ -248,19 +265,18 @@ def _lipschitz_diagnostic(dataset: Dataset, bounds: BoundModel) -> float:
 
 def learn_from_components(components: PipelineComponents,
                           multiplier: float = 1.0,
-                          utility: UtilityConfig | None = None) -> LearnedPolicy:
+                          cost: float = 0.0) -> LearnedPolicy:
     """Grid search on prefitted components; only M and C vary per call."""
+    _check_cost(cost)
     dataset = components.dataset
     design = dataset.design
     n = len(dataset)
-    cost = utility.cost if utility is not None else 0.0
-    scores = components.raw_scores.with_cost(cost)
     bounds = components.bounds.with_multiplier(multiplier)
     cutoffs = {}
     tables = {}
     acc = np.zeros((3, n))
     for rank in range(1, design.q + 1):
-        a, b = _record_contributions(dataset, rank, scores, bounds, utility)
+        a, b = _record_contributions(dataset, rank, components.raw_scores, bounds, cost)
         cand = components.grid.for_rank(rank)
         vals = _candidate_values(dataset, a, b, components.order, cand)
         cut = _pick(cand, vals, design.cutoff_of_rank(rank))
@@ -268,7 +284,7 @@ def learn_from_components(components: PipelineComponents,
         tables[rank] = (cand, vals)
         acc += np.where(dataset.x >= cut, a, b)
     # the status quo never disagrees with itself: only the identified term
-    iden = float(np.sum(dataset.utility_outcomes(utility)) / n)
+    iden = float(np.sum(dataset.y - cost * dataset.w) / n)
     return LearnedPolicy(
         policy=ThresholdPolicy(cutoffs, design),
         breakdown=_breakdown(acc),
@@ -289,8 +305,7 @@ def learn_policy(dataset: Dataset, config: LearnerConfig | None = None) -> Learn
     and maximize the worst-case objective group by group."""
     config = config or LearnerConfig()
     components = prepare_components(dataset, config)
-    return learn_from_components(components, multiplier=config.multiplier,
-                                 utility=config.utility)
+    return learn_from_components(components, multiplier=config.multiplier, cost=config.cost)
 
 
 @dataclass(frozen=True)
@@ -316,15 +331,16 @@ def sensitivity_sweep(dataset: Dataset, multipliers, costs,
         raise ValueError("sensitivity sweep needs at least one multiplier and one cost")
     for m in multipliers:
         _check_multiplier(m)
-    utilities = [UtilityConfig(cost=c) for c in costs]
+    for c in costs:
+        _check_cost(c)
     if components is None:
         components = prepare_components(dataset, config or LearnerConfig())
     design = dataset.design
     rows = []
     cells = {}
     for m in multipliers:
-        for c, utility in zip(costs, utilities):
-            cells[(m, c)] = learn_from_components(components, multiplier=m, utility=utility)
+        for c in costs:
+            cells[(m, c)] = learn_from_components(components, multiplier=m, cost=c)
     for rank in range(1, design.q + 1):
         label = design.label_of(rank)
         base_cut = design.cutoff_of_rank(rank)

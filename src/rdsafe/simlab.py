@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DataError, Dataset, RdsafeError, StudyDesign, ThresholdPolicy, baseline_policy
 from .idbounds import _check_multiplier
-from .learner import LearnerConfig, learn_policy
+from .learner import LearnerConfig, _pick, _suffix_at, learn_policy
 
 _CUTOFFS = {1: -850.0, 2: -571.0}
 _SIGMA_EPS = 10.0
@@ -186,18 +186,11 @@ def oracle_policy(spec: ScenarioSpec, grid_size: int = 200,
         # any sort order will do: draws of one group with equal x have equal
         # arm means, so every order sums the same sequence of numbers
         own = own[np.argsort(pop.x[own])]
-        xo = pop.x[own]
         # value contribution of this group at cutoff c, via suffix sums of the
         # per-draw treat-minus-control gain
         diff = (pop.treated[own] - cost) - pop.control[own]
-        suffix = np.concatenate([np.cumsum(diff[::-1])[::-1], [0.0]])
-        pos = np.searchsorted(xo, grid, side="left")
-        vals = suffix[pos]
-        best = np.max(vals)
-        tied = np.flatnonzero(vals >= best - 1e-12)
-        base = design.cutoff_of_rank(rank)
-        dist = np.abs(grid[tied] - base)
-        cutoffs[label] = float(grid[tied[dist == dist.min()]].min())
+        vals = _suffix_at(pop.x[own], diff, grid)
+        cutoffs[label] = _pick(grid, vals, design.cutoff_of_rank(rank))
     return ThresholdPolicy(cutoffs, design)
 
 

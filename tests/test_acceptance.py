@@ -22,7 +22,6 @@ from rdsafe.core import (
     Dataset,
     StudyDesign,
     ThresholdPolicy,
-    UtilityConfig,
     baseline_policy,
     serialize_dataset,
 )
@@ -167,15 +166,14 @@ class TestCriterion5BruteForceEquivalence:
             design = ds.design
             nus = oracle_nuisances(ds, mean_fn, prop_fn)
             cost = float(rng.choice([0.0, 0.4]))
-            scores = compute_dr_scores(ds, nus).with_cost(cost)
+            scores = compute_dr_scores(ds, nus)
             boundary, lam, anchors = random_bounds(design, seed + 10_000)
             bounds = BoundModel(design, boundary, lam)
             base = baseline_policy(design)
-            util = UtilityConfig(cost=cost)
             policy = ThresholdPolicy(
                 {label: float(rng.uniform(design.c_min, design.c_max))
                  for label in design.groups}, design)
-            got = value_breakdown(ds, policy, scores, bounds, util)
+            got = value_breakdown(ds, policy, scores, bounds, cost)
             want = bf_components(ds, policy, base, mean_fn, prop_fn,
                                  bf_lower(boundary, lam, anchors), cost=cost)
             worst_err = max(worst_err, abs(got.iden - want[0]),
@@ -185,15 +183,15 @@ class TestCriterion5BruteForceEquivalence:
             per_group = {}
             order = np.argsort(ds.x, kind="stable")
             for label in design.groups:
-                ab = _record_contributions(ds, design.rank_of(label), scores, bounds, util)
+                ab = _record_contributions(ds, design.rank_of(label), scores, bounds, cost)
                 vals = _candidate_values(ds, *ab, order, grid)
                 per_group[label] = float(grid[int(np.argmax(vals))])
             best = -np.inf
             for combo in itertools.product(grid, repeat=design.q):
                 p = ThresholdPolicy(dict(zip(design.groups, map(float, combo))), design)
-                best = max(best, value_breakdown(ds, p, scores, bounds, util).total)
+                best = max(best, value_breakdown(ds, p, scores, bounds, cost).total)
             sep_total = value_breakdown(
-                ds, ThresholdPolicy(per_group, design), scores, bounds, util).total
+                ds, ThresholdPolicy(per_group, design), scores, bounds, cost).total
             search_ok &= abs(sep_total - best) <= 1e-12
         report(5, worst_err <= 1e-12 and search_ok,
                f"components match brute force on 100 toys (worst error "

@@ -10,7 +10,6 @@ from rdsafe import learner, simlab
 from rdsafe.core import (
     Dataset,
     StudyDesign,
-    UtilityConfig,
     load_dataset,
     serialize_dataset,
 )
@@ -173,6 +172,19 @@ class TestRejectedBeforeFitting:
         assert "1/Q" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("learn", "--folds", "1"), "at least 2 folds"),
+        (("sensitivity", "--folds", "1"), "at least 2 folds"),
+        (("learn", "--cost", "-1"), "treatment cost must be nonnegative"),
+        (("learn", "--cost", "nan"), "treatment cost must be finite"),
+        (("sensitivity", "--costs", "0", "-1"), "treatment cost must be nonnegative"),
+        (("sensitivity", "--costs", "0", "nan"), "treatment cost must be finite"),
+    ])
+    def test_bad_folds_and_costs(self, workdir, tmp_path, capsys, flags, message):
+        assert self.run(workdir, tmp_path, *flags) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_infinite_multiplier_in_simulate(self, tmp_path, capsys):
         rc = main(["simulate", "--multipliers", "inf", "--reps", "2",
                    "--out", str(tmp_path / "x")])
@@ -270,7 +282,7 @@ class TestResultFiles:
         assert main(["learn", "--input", str(workdir / "data.csv"),
                      "--design", str(workdir / "design.yaml"), "--out", str(out),
                      "--seed", "6", "--cost", "0.3"]) == 0
-        learned = learn_policy(dataset, LearnerConfig(seed=6, utility=UtilityConfig(cost=0.3)))
+        learned = learn_policy(dataset, LearnerConfig(seed=6, cost=0.3))
         design = dataset.design
         curves = [(design.label_of(rank), c, v)
                   for rank, (cand, vals) in sorted(learned.objective_tables.items())

@@ -16,7 +16,6 @@ from rdsafe.core import (
     DesignError,
     StudyDesign,
     ThresholdPolicy,
-    UtilityConfig,
     baseline_policy,
     load_dataset,
     serialize_dataset,
@@ -127,19 +126,6 @@ class TestDataset:
             Dataset(np.array(x), np.array(g, dtype=object), np.array(w), np.array(y), d,
                     min_group_size=min_group_size)
         assert (type(exc.value), str(exc.value)) == want
-
-
-class TestUtility:
-    def test_negative_cost_rejected(self):
-        with pytest.raises(DataError):
-            UtilityConfig(cost=-0.1)
-
-    def test_dataset_utility_outcomes(self):
-        d = StudyDesign({1: 0.0, 2: 10.0})
-        ds = Dataset(*make_columns(d), d)
-        u = ds.utility_outcomes(UtilityConfig(cost=0.5))
-        assert np.allclose(u, ds.y - 0.5 * ds.w)
-        assert ds.utility_outcomes(None) is ds.y
 
 
 class TestThresholdPolicy:

@@ -8,7 +8,6 @@ from rdsafe.core import (
     EstimationError,
     StudyDesign,
     ThresholdPolicy,
-    UtilityConfig,
     baseline_policy,
 )
 from rdsafe.estimator import (
@@ -114,23 +113,25 @@ class TestDRScores:
         # record 2 is outside the cutoff span: all zeros
         assert (s.gamma1[2] == 0).all() and (s.gamma0[2] == 0).all()
 
-    def test_cost_shift_matches_shifted_outcome_refit(self):
-        # scores with cost C on raw y == scores with cost 0 on utility-shifted
-        # problem where treated means and treated outcomes drop by C
-        ds, mean_fn, prop_fn = random_toy(3)
-        nus = oracle_nuisances(ds, mean_fn, prop_fn)
-        c = 0.7
-        shifted = compute_dr_scores(ds, nus).with_cost(c)
-        plain = compute_dr_scores(ds, nus)
-        # gamma1 own terms shift by exactly -c, correction terms unchanged;
-        # gamma0 is unchanged
-        assert np.array_equal(shifted.gamma0, plain.gamma0)
-        delta = plain.gamma1 - shifted.gamma1
-        for g in range(ds.design.q):
-            own = (ds.rank == g + 1) & (plain.gamma1[:, g] != 0)
-            other = (ds.rank != g + 1)
-            assert np.allclose(delta[own, g], c)
-            assert np.allclose(delta[other, g], 0.0)
+    def test_cost_lowers_the_objective_by_the_treated_share(self):
+        # u(y, w) = y - C*w: at cost C a policy's objective drops by C times
+        # the share of records it treats, and the envelope term does not move
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            ds, mean_fn, prop_fn = random_toy(seed)
+            design = ds.design
+            scores = compute_dr_scores(ds, oracle_nuisances(ds, mean_fn, prop_fn))
+            boundary, lam, _ = random_bounds(design, seed + 2000)
+            bounds = BoundModel(design, boundary, lam)
+            policy = ThresholdPolicy(
+                {label: float(rng.uniform(design.c_min, design.c_max))
+                 for label in design.groups}, design)
+            treated = np.count_nonzero(policy.indicator(ds.x, ds.rank)) / len(ds)
+            free = value_breakdown(ds, policy, scores, bounds, 0.0)
+            for c in (0.3, 0.7):
+                got = value_breakdown(ds, policy, scores, bounds, c)
+                assert got.xi2_worst == free.xi2_worst
+                assert got.total == pytest.approx(free.total - c * treated, abs=1e-12)
 
 
 class TestComponentsAgainstBruteForce:
@@ -141,15 +142,14 @@ class TestComponentsAgainstBruteForce:
             design = ds.design
             nus = oracle_nuisances(ds, mean_fn, prop_fn)
             cost = float(rng.choice([0.0, 0.3]))
-            scores = compute_dr_scores(ds, nus).with_cost(cost)
+            scores = compute_dr_scores(ds, nus)
             boundary, lam, anchors = random_bounds(design, seed + 1000)
             bounds = BoundModel(design, boundary, lam)
             base = baseline_policy(design)
             cutoffs = {label: float(rng.uniform(design.c_min, design.c_max))
                        for label in design.groups}
             policy = ThresholdPolicy(cutoffs, design)
-            util = UtilityConfig(cost=cost)
-            got = value_breakdown(ds, policy, scores, bounds, util)
+            got = value_breakdown(ds, policy, scores, bounds, cost)
             want = bf_components(ds, policy, base, mean_fn, prop_fn,
                                  bf_lower(boundary, lam, anchors), cost=cost)
             assert got.iden == pytest.approx(want[0], abs=1e-12)

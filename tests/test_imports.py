@@ -1,9 +1,15 @@
-"""Every name imported by the package modules and the tests is used, and every
-top-level definition of the package is exported or used."""
+"""Every name imported by the package modules and the tests is used, every
+top-level definition of the package is exported or used, and every package
+name the README cites exists."""
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+import rdsafe
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/rdsafe/*.py"))
@@ -109,3 +115,37 @@ def test_dead_definition_scanner():
 def test_no_dead_definitions():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_definitions(modules) == []
+
+
+# backticked names ending in these are file names, not package names
+FILE_SUFFIXES = {"csv", "json", "yaml", "py", "md"}
+
+
+def readme_names(text: str, heads: set):
+    """Each backticked dotted name in `text` whose first part is in `heads`,
+    file names excepted."""
+    for ref in re.findall(r"`([A-Za-z_][\w.]*)`", text):
+        head, dot, _ = ref.partition(".")
+        if dot and head in heads and ref.rsplit(".", 1)[1] not in FILE_SUFFIXES:
+            yield ref
+
+
+def test_readme_name_scanner():
+    text = ("`rdsafe.cli` writes `sweep.csv`; `core.Dataset` and `Thing.method`, "
+            "not `other.name`, `Thing` or `core.py`.")
+    heads = {"rdsafe", "core", "Thing"}
+    assert list(readme_names(text, heads)) == ["rdsafe.cli", "core.Dataset", "Thing.method"]
+
+
+def test_readme_names_resolve():
+    for path in PACKAGE:
+        importlib.import_module(f"rdsafe.{path.stem}")
+    # rdsafe itself, its modules and its exported names
+    heads = {"rdsafe", *(name for name in dir(rdsafe) if not name.startswith("_"))}
+    missing = []
+    for ref in readme_names((ROOT / "README.md").read_text(encoding="utf-8"), heads):
+        try:
+            functools.reduce(getattr, ref.removeprefix("rdsafe.").split("."), rdsafe)
+        except AttributeError:
+            missing.append(ref)
+    assert missing == []

@@ -10,7 +10,6 @@ from rdsafe.core import (
     Dataset,
     StudyDesign,
     ThresholdPolicy,
-    UtilityConfig,
     baseline_policy,
 )
 from rdsafe.estimator import compute_dr_scores, oracle_nuisances
@@ -72,7 +71,7 @@ def toy_problem(seed):
 
 def group_values(ds, rank, grid, scores, bounds):
     """Group `rank`'s objective contribution at every cutoff of `grid`."""
-    return _candidate_values(ds, *_record_contributions(ds, rank, scores, bounds, None),
+    return _candidate_values(ds, *_record_contributions(ds, rank, scores, bounds, 0.0),
                              np.argsort(ds.x, kind="stable"), np.asarray(grid, dtype=float))
 
 
@@ -189,8 +188,7 @@ class TestSensitivitySweep:
 
     def test_reuse_matches_full_learn(self, components):
         ds, comps = components
-        via_sweep = learn_from_components(comps, multiplier=1.0,
-                                          utility=UtilityConfig(cost=0.0))
+        via_sweep = learn_from_components(comps, multiplier=1.0, cost=0.0)
         direct = learn_policy(ds, LearnerConfig(seed=2, multiplier=1.0))
         assert via_sweep.policy.cutoffs == direct.policy.cutoffs
         assert via_sweep.breakdown.total == pytest.approx(direct.breakdown.total)
@@ -232,6 +230,11 @@ class TestConfigChecks:
         with pytest.raises(DataError, match="finite and nonnegative"):
             sensitivity_sweep(three_groups, [1.0, m], [0.0])
 
+    @pytest.mark.parametrize("c", [-0.1, np.nan, np.inf])
+    def test_bad_cost_rejected_by_config(self, c):
+        with pytest.raises(DataError, match="treatment cost"):
+            LearnerConfig(cost=c)
+
     @pytest.mark.parametrize("c", [-1.0, np.nan, np.inf])
     def test_bad_cost_rejected_before_fitting(self, c, three_groups, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -260,6 +263,11 @@ class TestConfigChecks:
         with pytest.raises(DataError, match="finite and nonnegative"):
             learn_from_components(comps, multiplier=-1.0)
 
+    def test_learn_from_components_checks_cost(self, three_groups):
+        comps = prepare_components(three_groups, LearnerConfig(seed=3))
+        with pytest.raises(DataError, match="treatment cost must be nonnegative"):
+            learn_from_components(comps, cost=-1.0)
+
 
 class TestOneBoundModelPerDataset:
     def test_sweep_fits_each_boundary_once(self, three_groups, monkeypatch):
@@ -279,10 +287,8 @@ class TestOneBoundModelPerDataset:
         comps = prepare_components(three_groups, LearnerConfig(seed=3))
         for m in (0.0, 1.0, 2.5):
             for c in (0.0, 0.4):
-                util = UtilityConfig(cost=c)
-                got = learn_from_components(comps, multiplier=m, utility=util)
-                want = learn_policy(three_groups,
-                                    LearnerConfig(seed=3, multiplier=m, utility=util))
+                got = learn_from_components(comps, multiplier=m, cost=c)
+                want = learn_policy(three_groups, LearnerConfig(seed=3, multiplier=m, cost=c))
                 assert got.policy.cutoffs == want.policy.cutoffs
                 for field in ("iden", "dr", "xi2_worst"):
                     assert getattr(got.breakdown, field) == getattr(want.breakdown, field)
@@ -304,16 +310,15 @@ class TestOneObjectivePath:
     def cells(self):
         ds = three_group_dataset(seed=9, n=1500)
         comps = prepare_components(ds, LearnerConfig(seed=1))
-        return ds, comps, {(m, c): learn_from_components(comps, multiplier=m,
-                                                         utility=UtilityConfig(cost=c))
+        return ds, comps, {(m, c): learn_from_components(comps, multiplier=m, cost=c)
                            for m, c in self.CELLS}
 
     def test_breakdown_equals_value_breakdown_of_learned_policy(self, cells):
         ds, comps, learned = cells
         for m, c in self.CELLS:
             got = learned[(m, c)]
-            want = value_breakdown(ds, got.policy, comps.raw_scores.with_cost(c),
-                                   comps.bounds.with_multiplier(m), UtilityConfig(cost=c))
+            want = value_breakdown(ds, got.policy, comps.raw_scores,
+                                   comps.bounds.with_multiplier(m), c)
             for field in ("iden", "dr", "xi2_worst"):
                 assert getattr(got.breakdown, field) == getattr(want, field)
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from oracles import direct_true_value, stable_oracle_search
-from rdsafe import simlab
+from rdsafe import learner, simlab
 from rdsafe.core import DataError, ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
     Population,
@@ -201,7 +201,7 @@ class TestOraclePolicy:
         searched = []
 
         class SpyNumpy:
-            # simlab's numpy, recording the suffix values each group maximises
+            # the learner's numpy, recording the suffix values each group maximises
             def __getattr__(self, name):
                 return getattr(np, name)
 
@@ -209,7 +209,7 @@ class TestOraclePolicy:
                 searched.append(np.array(a))
                 return np.max(a, *args, **kwargs)
 
-        monkeypatch.setattr(simlab, "np", SpyNumpy())
+        monkeypatch.setattr(learner, "np", SpyNumpy())
         got = oracle_policy(spec, grid_size=grid.size, draws=pop, cost=cost)
         want = stable_oracle_search(pop, spec.design, grid, cost)
         assert got.cutoffs == {label: cut for label, (_, cut) in want.items()}
