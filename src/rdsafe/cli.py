@@ -91,30 +91,44 @@ def _merged_config(args, file_cfg: dict) -> dict:
         if key in ("func", "config") or value is None:
             continue
         cfg[key] = value
-    _validate_ranges(cfg)
     return cfg
 
 
-def _validate_ranges(cfg: dict):
-    # the library checks every value's range before it fits or draws anything
-    for key in ("multipliers", "costs"):
-        if key in cfg and cfg[key] is not None and not cfg[key]:
-            raise DataError(f"--{key} needs at least one value")
+_KINDS = {int: ("an integer", "a list of integers"), float: ("a number", "a list of numbers")}
+
+
+def _convert(kind, value):
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError("int() would truncate it")
+    return kind(value)
+
+
+def _setting(cfg: dict, key: str, default, kind):
+    """cfg[key], or the default, as a `kind` (int or float), or as a list of
+    them if the default is a list. A value that does not convert is a
+    DataError naming its key; the library checks the ranges."""
+    value = cfg.get(key, default)
+    many = isinstance(default, list)
+    try:
+        return [_convert(kind, v) for v in value] if many else _convert(kind, value)
+    except (TypeError, ValueError):
+        raise DataError(f"config value {key!r} must be {_KINDS[kind][many]}, "
+                        f"got {value!r}") from None
 
 
 def _learner_config(cfg: dict) -> LearnerConfig:
     return LearnerConfig(
-        n_folds=int(cfg.get("folds", 5)),
-        seed=int(cfg.get("seed", 0)),
+        n_folds=_setting(cfg, "folds", 5, int),
+        seed=_setting(cfg, "seed", 0, int),
         grid_mode=str(cfg.get("grid", "observed")),
-        multiplier=float(cfg.get("multiplier", 1.0)),
-        cost=float(cfg.get("cost", 0.0)),
-        clamp_eps=float(cfg.get("clamp", 0.01)),
+        multiplier=_setting(cfg, "multiplier", 1.0, float),
+        cost=_setting(cfg, "cost", 0.0, float),
+        clamp_eps=_setting(cfg, "clamp", 0.01, float),
     )
 
 
 def _provenance(cfg: dict) -> dict:
-    return {"config_hash": _config_hash(cfg), "seed": int(cfg.get("seed", 0))}
+    return {"config_hash": _config_hash(cfg), "seed": _setting(cfg, "seed", 0, int)}
 
 
 def _write_csv(path: str, cfg: dict, header, rows):
@@ -193,10 +207,10 @@ def cmd_learn(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     cells = regret_experiment(
         scenarios=cfg.get("scenarios", ["A"]),
-        n_list=cfg.get("sizes", [1000]),
-        multipliers=cfg.get("multipliers", [1.0]),
-        reps=int(cfg.get("reps", 10)),
-        seed=int(cfg.get("seed", 0)),
+        n_list=_setting(cfg, "sizes", [1000], int),
+        multipliers=_setting(cfg, "multipliers", [1.0], float),
+        reps=_setting(cfg, "reps", 10, int),
+        seed=_setting(cfg, "seed", 0, int),
     )
     out = cfg["out"]
     _write_csv(os.path.join(out, "regret.csv"), cfg,
@@ -215,9 +229,8 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_sensitivity(cfg: dict) -> int:
     design = _load_design(cfg["design"])
     dataset = load_dataset(cfg["input"], design)
-    multipliers = cfg.get("multipliers") or [1.0]
-    costs = cfg.get("costs") or [0.0]
-    rows = sensitivity_sweep(dataset, multipliers, costs, _learner_config(cfg))
+    rows = sensitivity_sweep(dataset, _setting(cfg, "multipliers", [1.0], float),
+                             _setting(cfg, "costs", [0.0], float), _learner_config(cfg))
     out = cfg["out"]
     _write_csv(os.path.join(out, "sweep.csv"), cfg,
                ["group", "M", "C", "baseline_cutoff", "learned_cutoff", "change",

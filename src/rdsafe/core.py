@@ -251,13 +251,8 @@ def _match_group(raw: str, design: StudyDesign, row: int | None):
     raise DesignError(f"row {row}: unknown group {raw!r}; design groups are {list(design.groups)}")
 
 
-def load_dataset(
-    source,
-    design: StudyDesign,
-    delimiter: str = ",",
-    min_group_size: int = 30,
-) -> Dataset:
-    """Parse delimiter-separated text with header columns x, g, w, y.
+def load_dataset(source, design: StudyDesign, min_group_size: int = 30) -> Dataset:
+    """Parse comma-separated text with header columns x, g, w, y.
 
     `source` is a path, bytes, or a text or binary stream; a file opened from a
     path is closed before returning, and a caller's stream is left open.
@@ -268,24 +263,24 @@ def load_dataset(
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as stream:
-            columns = _read_columns(stream, design, delimiter)
+            columns = _read_columns(stream, design)
     elif isinstance(source, bytes):
-        columns = _read_columns(io.StringIO(source.decode("utf-8")), design, delimiter)
+        columns = _read_columns(io.StringIO(source.decode("utf-8")), design)
     elif isinstance(source, io.TextIOBase):
-        columns = _read_columns(source, design, delimiter)
+        columns = _read_columns(source, design)
     else:
         # binary file-like: a dropped wrapper would close the stream it wraps
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
         try:
-            columns = _read_columns(stream, design, delimiter)
+            columns = _read_columns(stream, design)
         finally:
             stream.detach()
     return Dataset(*columns, design, min_group_size=min_group_size)
 
 
-def _read_columns(stream, design: StudyDesign, delimiter: str) -> tuple:
+def _read_columns(stream, design: StudyDesign) -> tuple:
     """The columns (x, g, w, y) of the data rows; g holds design labels."""
-    reader = csv.reader(stream, delimiter=delimiter)
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -322,10 +317,10 @@ def _read_columns(stream, design: StudyDesign, delimiter: str) -> tuple:
         _match_group(row[col["g"]].strip(), design, row_no)
 
 
-def serialize_dataset(dataset: Dataset, delimiter: str = ",") -> str:
-    """Emit the dataset in the same CSV dialect; numeric fields round-trip exactly."""
+def serialize_dataset(dataset: Dataset) -> str:
+    """Emit the dataset as the CSV `load_dataset` reads; numeric fields round-trip exactly."""
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_COLUMNS)
     writer.writerows(zip(map(repr, dataset.x.tolist()),
                          map(dataset.design.label_of, dataset.rank.tolist()),

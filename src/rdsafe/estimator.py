@@ -126,10 +126,8 @@ def fit_crossfit_nuisances(dataset: Dataset, folds: FoldAssignment,
                         f"on the {side}-cutoff side: {exc}"
                     ) from exc
         try:
-            prop = _fit_propensity_arrays(
-                x[train], dataset.rank[train], q,
-                basis_degree=3, clamp_eps=clamp_eps,
-            )
+            prop = _fit_propensity_arrays(x[train], dataset.rank[train], q,
+                                          clamp_eps=clamp_eps)
         except EstimationError as exc:
             raise EstimationError(f"fold {k}: {exc}") from exc
         propensity[held] = prop.probabilities(x[held])

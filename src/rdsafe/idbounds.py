@@ -97,7 +97,7 @@ def difference_bound(x, phi, w: int, anchor_cut: float):
     lam = float(np.max(np.abs(derivs)))
     side = "from_above" if w == 1 else "from_below"
     # the fit's sorted points: the bandwidth's standard deviation depends on their order
-    d0 = boundary_limit(curve.x, curve.y, anchor_cut, side, LocalPolyConfig(degree=1))
+    d0 = boundary_limit(curve.x, curve.y, anchor_cut, side)
     return d0, lam
 
 

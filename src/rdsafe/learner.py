@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, Dataset, StudyDesign, ThresholdPolicy, _check_finite
+from .core import DataError, Dataset, ThresholdPolicy, _check_finite
 from .estimator import (
     DRScores,
     _check_n_folds,
@@ -50,18 +50,17 @@ class CandidateGrid:
         return self.by_rank[rank]
 
 
-def candidate_grid(dataset: Dataset | None, design: StudyDesign, mode: str = "observed") -> CandidateGrid:
-    """Candidate cutoffs inside [c_1, c_Q].
+def candidate_grid(dataset: Dataset, mode: str) -> CandidateGrid:
+    """Candidate cutoffs inside [c_1, c_Q] of the dataset's design.
 
     Mode "observed" uses the distinct observed x values; "uniform:m" uses m
     equally spaced points. Every group's grid always contains its own baseline
     cutoff and both endpoints c_1 and c_Q.
     """
+    design = dataset.design
     lo, hi = design.c_min, design.c_max
     m = _uniform_size(mode)
     if m is None:
-        if dataset is None:
-            raise ValueError("mode 'observed' needs a dataset")
         xs = dataset.x
         base = xs[(xs >= lo) & (xs <= hi)]
     else:
@@ -126,7 +125,9 @@ def _record_contributions(dataset: Dataset, rank: int, scores: DRScores, bounds:
         if newly_t.any():
             sel = idx[newly_t]
             a[2, sel] = bounds.lower(1, x[sel], gcol[newly_t], ref[newly_t])
-        newly_u = tilde[idx]
+        # every candidate treats a record at c_Q, so it has no untreated
+        # branch; at its own cutoff c_Q, group Q would need a pair (0, Q, Q)
+        newly_u = tilde[idx] & (x[idx] < design.c_max)
         if newly_u.any():
             sel = idx[newly_u]
             b[2, sel] = bounds.lower(0, x[sel], gcol[newly_u], ref[newly_u] + 1)
@@ -249,7 +250,7 @@ def prepare_components(dataset: Dataset, config: LearnerConfig | None = None) ->
         dataset=dataset,
         order=np.argsort(dataset.x, kind="stable"),
         bounds=fit_bound_model(dataset, nuisances),
-        grid=candidate_grid(dataset, dataset.design, config.grid_mode),
+        grid=candidate_grid(dataset, config.grid_mode),
         raw_scores=compute_dr_scores(dataset, nuisances),
     )
 
@@ -328,7 +329,7 @@ def sensitivity_sweep(dataset: Dataset, multipliers, costs,
     multipliers = list(multipliers)
     costs = list(costs)
     if not multipliers or not costs:
-        raise ValueError("sensitivity sweep needs at least one multiplier and one cost")
+        raise DataError("sensitivity sweep needs at least one multiplier and one cost")
     for m in multipliers:
         _check_multiplier(m)
     for c in costs:

@@ -104,27 +104,30 @@ class Population(NamedTuple):
     """Monte Carlo (X, G) draws of one scenario with each draw's two arm means.
 
     `treated[i]` and `control[i]` are `mean_outcome(1, x[i], g[i])` and
-    `mean_outcome(0, x[i], g[i])`; outcome noise integrates out. The draws and
-    their means depend on the scenario and `sigma_eps`, not on n or the cutoffs.
+    `mean_outcome(0, x[i], g[i])`; outcome noise integrates out. The draws
+    carry the whole data-generating process: a policy is valued on them from
+    its cutoffs alone.
     """
 
-    scenario: str
-    sigma_eps: float
     x: np.ndarray
     g: np.ndarray
     treated: np.ndarray
     control: np.ndarray
 
 
-def _draw_population(spec: ScenarioSpec, mc_size: int, seed: int) -> Population:
-    """Shared (X, G) draws for value evaluation, with both arms' mean outcomes."""
+def draw_population(spec: ScenarioSpec, size: int, seed: int) -> Population:
+    """`size` (X, G) draws of the spec's scenario, with both arms' mean outcomes.
+
+    The draws and their means depend on the scenario and `sigma_eps`, not on
+    n or the cutoffs.
+    """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(_X_LO, _X_HI, size=mc_size)
-    eps = rng.normal(0.0, spec.sigma_eps, size=mc_size)
+    x = rng.uniform(_X_LO, _X_HI, size=size)
+    eps = rng.normal(0.0, spec.sigma_eps, size=size)
     g = np.where(spec.group_prob_latent(x) + eps > 0, 2, 1)
-    treated = np.empty(mc_size)
-    control = np.empty(mc_size)
-    for start in range(0, mc_size, _MEAN_CHUNK):
+    treated = np.empty(size)
+    control = np.empty(size)
+    for start in range(0, size, _MEAN_CHUNK):
         block = slice(start, start + _MEAN_CHUNK)
         # mean_outcome(w, x, g) for both arms from one basis: only label-1
         # draws carry the difference term
@@ -135,61 +138,37 @@ def _draw_population(spec: ScenarioSpec, mc_size: int, seed: int) -> Population:
         one = start + np.flatnonzero(g[block] == 1)
         treated[one] -= spec.difference(1, x[one])
         control[one] -= spec.difference(0, x[one])
-    return Population(spec.scenario, spec.sigma_eps, x, g, treated, control)
+    return Population(x, g, treated, control)
 
 
-def _population_for(spec: ScenarioSpec, draws, mc_size: int, seed: int) -> Population:
-    if draws is None:
-        return _draw_population(spec, mc_size, seed)
-    if (draws.scenario, draws.sigma_eps) != (spec.scenario, spec.sigma_eps):
-        raise ValueError(
-            f"draws were made for scenario {draws.scenario!r} (sigma_eps={draws.sigma_eps}), "
-            f"not {spec.scenario!r} (sigma_eps={spec.sigma_eps})")
-    return draws
-
-
-def true_value(policy: ThresholdPolicy, spec: ScenarioSpec,
-               mc_size: int = 1_000_000, seed: int = 0,
-               cost: float = 0.0, draws: Population | None = None) -> float:
-    """Ground-truth value V(pi) = E[m(pi(X,G), X, G)] - cost * E[pi(X,G)].
-
-    `draws` is a `Population` from `_draw_population` for this spec's scenario;
-    passing one values every policy on the same sample, bit-exactly, by
-    selecting each draw's precomputed arm mean. Without it, `mc_size` draws
-    are made from `seed`. Draws made for another scenario raise `ValueError`.
-    """
-    pop = _population_for(spec, draws, mc_size, seed)
+def true_value(policy: ThresholdPolicy, draws: Population, cost: float = 0.0) -> float:
+    """Ground-truth value V(pi) = E[m(pi(X,G), X, G)] - cost * E[pi(X,G)] on
+    the draws: each draw's precomputed arm mean is selected, so every policy
+    is valued on the same sample, bit-exactly."""
     # draws carry the labels 1 and 2, which need not be the cutoff ranks; the
     # mask is boolean algebra because np.where of two scalars costs as much as
     # the rest of the call
-    one = pop.g == 1
-    pi = ((pop.x >= policy.cutoffs[1]) & one) | ((pop.x >= policy.cutoffs[2]) & ~one)
-    m = np.where(pi, pop.treated, pop.control)
+    one = draws.g == 1
+    pi = ((draws.x >= policy.cutoffs[1]) & one) | ((draws.x >= policy.cutoffs[2]) & ~one)
+    m = np.where(pi, draws.treated, draws.control)
     return float(np.mean(m) - cost * (np.count_nonzero(pi) / pi.size))
 
 
-def oracle_policy(spec: ScenarioSpec, grid_size: int = 200,
-                  mc_size: int = 1_000_000, seed: int = 0,
-                  cost: float = 0.0, draws: Population | None = None) -> ThresholdPolicy:
-    """Grid argmax of the true value, searched per group on shared draws.
-
-    `draws` is a `Population` as in `true_value`; without it, `mc_size` draws
-    are made from `seed`. Draws made for another scenario raise `ValueError`.
-    """
-    design = spec.design
-    pop = _population_for(spec, draws, mc_size, seed)
+def oracle_policy(design: StudyDesign, draws: Population, grid_size: int = 200,
+                  cost: float = 0.0) -> ThresholdPolicy:
+    """Grid argmax of the true value on the draws, searched per group."""
     grid = np.linspace(design.c_min, design.c_max, grid_size)
     cutoffs = {}
     for rank in range(1, design.q + 1):
         label = design.label_of(rank)
-        own = np.flatnonzero(pop.g == label)
+        own = np.flatnonzero(draws.g == label)
         # any sort order will do: draws of one group with equal x have equal
         # arm means, so every order sums the same sequence of numbers
-        own = own[np.argsort(pop.x[own])]
+        own = own[np.argsort(draws.x[own])]
         # value contribution of this group at cutoff c, via suffix sums of the
         # per-draw treat-minus-control gain
-        diff = (pop.treated[own] - cost) - pop.control[own]
-        vals = _suffix_at(pop.x[own], diff, grid)
+        diff = (draws.treated[own] - cost) - draws.control[own]
+        vals = _suffix_at(draws.x[own], diff, grid)
         cutoffs[label] = _pick(grid, vals, design.cutoff_of_rank(rank))
     return ThresholdPolicy(cutoffs, design)
 
@@ -224,6 +203,11 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
     """
     if reps < 2:
         raise DataError(f"need at least 2 replications, got {reps}")
+    scenarios, n_list, multipliers = list(scenarios), list(n_list), list(multipliers)
+    for values, what in ((scenarios, "scenario"), (n_list, "sample size"),
+                         (multipliers, "multiplier")):
+        if not values:
+            raise DataError(f"regret experiment needs at least one {what}")
     # checked here, or every replication would count a bad M as a failure
     for m in multipliers:
         _check_multiplier(m)
@@ -234,9 +218,9 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
     for scenario in scenarios:
         # the ground truth depends on the scenario, not on n or M
         truth = ScenarioSpec(scenario=scenario, n=1)
-        draws = _draw_population(truth, mc_size, seed)
-        v_base = true_value(baseline_policy(truth.design), truth, draws=draws)
-        v_star = true_value(oracle_policy(truth, draws=draws), truth, draws=draws)
+        draws = draw_population(truth, mc_size, seed)
+        v_base = true_value(baseline_policy(truth.design), draws)
+        v_star = true_value(oracle_policy(truth.design, draws), draws)
         for n in n_list:
             spec = specs[(scenario, n)]
             for m_index, m in enumerate(multipliers):
@@ -249,7 +233,7 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                         data = generate(spec, seed=ss)
                         learned = learn_policy(data, LearnerConfig(
                             seed=int(child[0] % 2**31), multiplier=float(m)))
-                        v_hat = true_value(learned.policy, spec, draws=draws)
+                        v_hat = true_value(learned.policy, draws)
                     except (RdsafeError, np.linalg.LinAlgError):
                         failures += 1
                         continue

@@ -342,12 +342,9 @@ class CurveFit:
         _, der = self._eval(queries)
         return der if np.ndim(queries) else float(der[0])
 
-    def value(self, q: float) -> float:
-        return self.values(float(q))
 
-
-def boundary_limit(x, y, target: float, side: str, config: LocalPolyConfig | None = None) -> float:
-    """One-sided local estimate of the curve through (x, y) at `target`.
+def boundary_limit(x, y, target: float, side: str) -> float:
+    """One-sided local-linear estimate of the curve through (x, y) at `target`.
 
     Uses only points with x >= target (`from_above`) or x <= target
     (`from_below`); data on the other side cannot influence the result.
@@ -358,56 +355,62 @@ def boundary_limit(x, y, target: float, side: str, config: LocalPolyConfig | Non
     y = np.asarray(y, dtype=float)
     keep = x >= target if side == "from_above" else x <= target
     try:
-        fit = CurveFit(x[keep], y[keep], config)
+        fit = CurveFit(x[keep], y[keep])
     except EstimationError as exc:
         raise EstimationError(f"boundary limit at {target} ({side}): {exc}") from exc
-    return fit.value(target)
+    return fit.values(target)
 
 
 class PropensityModel:
     """Softmax group-membership probabilities on a polynomial basis of x.
 
-    Rank Q is the reference class. Raw probabilities p are shrunk toward the
-    uniform vector, eps + (1 - Q*eps) * p. For 0 < eps < 1/Q, which the fit
-    requires, this keeps every component in [eps, 1 - (Q-1)*eps], keeps the
-    order of the raw probabilities and keeps the sum exactly 1.
+    `coefficients` has one row per rank 1..Q-1 and one column per basis power
+    0..degree; rank Q is the reference class. Raw probabilities p are shrunk
+    toward the uniform vector, eps + (1 - Q*eps) * p. For 0 < eps < 1/Q,
+    which the fit requires, this keeps every component in [eps, 1 - (Q-1)*eps],
+    keeps the order of the raw probabilities and keeps the sum exactly 1.
     """
 
-    def __init__(self, coefficients, basis_degree, clamp_eps, x_center, x_scale, n_groups,
-                 loglik_path=None, converged=True):
+    def __init__(self, coefficients, clamp_eps, x_center, x_scale, loglik_path, converged):
         self.coefficients = np.asarray(coefficients, dtype=float)  # (Q-1, degree+1)
-        self.basis_degree = basis_degree
         self.clamp_eps = float(clamp_eps)
         self.x_center = float(x_center)
         self.x_scale = float(x_scale)
-        self.n_groups = int(n_groups)
-        self.loglik_path = tuple(loglik_path or ())
+        self.loglik_path = tuple(loglik_path)
         self.converged = bool(converged)
-
-    def _basis(self, x):
-        z = (np.asarray(x, dtype=float) - self.x_center) / self.x_scale
-        return np.vander(np.atleast_1d(z), self.basis_degree + 1, increasing=True)
 
     def probabilities(self, x) -> np.ndarray:
         """Clamped probability matrix, one row per query, columns = ranks 1..Q."""
-        b = self._basis(x)
-        logits = np.column_stack([b @ self.coefficients.T, np.zeros(b.shape[0])])
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        p = expl / expl.sum(axis=1, keepdims=True)
+        k, p = self.coefficients.shape
+        z = (np.asarray(x, dtype=float) - self.x_center) / self.x_scale
+        _, _, probs = _softmax(np.vander(np.atleast_1d(z), p, increasing=True), self.coefficients)
         eps = self.clamp_eps
-        return eps + (1.0 - self.n_groups * eps) * p
+        return eps + (1.0 - (k + 1) * eps) * probs
 
 
-def _multinomial_loglik(b, t, coef):
-    """Log-likelihood at `coef` and the class probabilities it was computed from."""
+def _softmax(b, coef):
+    """Class logits on the basis b (the reference class's is 0), their
+    log-sum-exp and the class probabilities."""
     logits = np.column_stack([b @ coef.T, np.zeros(b.shape[0])])
     m = logits.max(axis=1, keepdims=True)
     expl = np.exp(logits - m)
     total = expl.sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(total[:, 0])
+    return logits, m[:, 0] + np.log(total[:, 0]), expl / total
+
+
+def _multinomial_loglik(b, t, coef):
+    """Log-likelihood at `coef` and the class probabilities it was computed from."""
+    logits, lse, probs = _softmax(b, coef)
     picked = logits[np.arange(b.shape[0]), t]
-    return float(np.sum(picked - lse)), expl / total
+    return float(np.sum(picked - lse)), probs
+
+
+# The membership model's polynomial degree in the standardized x, and the
+# Newton iteration's stopping rule: a log-likelihood gain below _TOL, or
+# _MAX_ITER steps.
+_BASIS_DEGREE = 3
+_TOL = 1e-8
+_MAX_ITER = 200
 
 
 def _check_clamp(clamp_eps, q):
@@ -417,9 +420,9 @@ def _check_clamp(clamp_eps, q):
                         f"Q = {q} groups, got {clamp_eps}")
 
 
-def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
-                           tol=1e-8, max_iter=200):
-    """Damped Newton maximization of the multinomial log-likelihood.
+def _fit_propensity_arrays(x, rank, n_groups, clamp_eps=0.01):
+    """Damped Newton maximization of the multinomial log-likelihood on the
+    cubic basis of the standardized x.
 
     The log-likelihood is nondecreasing across iterations by construction
     (step halving); the path is recorded on the returned model.
@@ -429,15 +432,15 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
     q = int(n_groups)
     _check_clamp(clamp_eps, q)
     counts = np.bincount(rank, minlength=q + 1)[1:]
-    if (counts < basis_degree + 2).any():
+    if (counts < _BASIS_DEGREE + 2).any():
         small = int(np.argmin(counts)) + 1
         raise EstimationError(
             f"group rank {small} has {counts[small - 1]} observations, fewer than "
-            f"basis degree + 2 = {basis_degree + 2}"
+            f"basis degree + 2 = {_BASIS_DEGREE + 2}"
         )
     center = float(np.mean(x))
     scale = float(np.std(x)) or 1.0
-    b = np.vander((x - center) / scale, basis_degree + 1, increasing=True)
+    b = np.vander((x - center) / scale, _BASIS_DEGREE + 1, increasing=True)
     n, p = b.shape
     k = q - 1
     t = rank - 1  # classes 0..q-1, reference q-1
@@ -449,7 +452,7 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
     ll, probs = _multinomial_loglik(b, t, coef)
     path = [ll]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         pk = probs[:, :k]
         grad = ((onehot - pk)[:, :, None] * b[:, None, :]).sum(axis=0).ravel()
         hess = np.zeros((k * p, k * p))
@@ -475,11 +478,11 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
         if not improved:
             # no step raises the log-likelihood within rounding: at the optimum
             # exactly when the Newton decrement g'H^-1g/2 is negligible
-            converged = 0.5 * float(grad @ step.ravel()) < tol
+            converged = 0.5 * float(grad @ step.ravel()) < _TOL
             break
         coef, probs = cand, probs_new
         path.append(ll_new)
-        if ll_new - ll < tol:
+        if ll_new - ll < _TOL:
             ll = ll_new
             converged = True
             break
@@ -491,5 +494,4 @@ def _fit_propensity_arrays(x, rank, n_groups, basis_degree=3, clamp_eps=0.01,
             RuntimeWarning,
             stacklevel=3,
         )
-    return PropensityModel(coef, basis_degree, clamp_eps, center, scale, q,
-                           loglik_path=path, converged=converged)
+    return PropensityModel(coef, clamp_eps, center, scale, path, converged)

@@ -35,7 +35,7 @@ from rdsafe.learner import (
     prepare_components,
     value_breakdown,
 )
-from rdsafe.simlab import ScenarioSpec, _draw_population, generate, oracle_policy, true_value
+from rdsafe.simlab import ScenarioSpec, draw_population, generate, oracle_policy, true_value
 from rdsafe.smooth import CurveFit, LocalPolyConfig, _fit_propensity_arrays, boundary_limit
 
 
@@ -76,31 +76,31 @@ class TestCriterion1Safety:
 @pytest.fixture(scope="module")
 def scenario_a_truth():
     spec = ScenarioSpec(scenario="A", n=10)
-    draws = _draw_population(spec, 400_000, seed=77)
-    vb = true_value(baseline_policy(spec.design), spec, draws=draws)
-    return spec, draws, vb
+    draws = draw_population(spec, 400_000, seed=77)
+    vb = true_value(baseline_policy(spec.design), draws)
+    return draws, vb
 
 
 @pytest.fixture(scope="module")
 def scenario_b_truth():
     spec = ScenarioSpec(scenario="B", n=10)
-    draws = _draw_population(spec, 400_000, seed=78)
-    vb = true_value(baseline_policy(spec.design), spec, draws=draws)
-    orc = oracle_policy(spec, grid_size=400, mc_size=400_000, seed=78)
-    vo = true_value(orc, spec, draws=draws)
-    return spec, draws, vb, vo
+    draws = draw_population(spec, 400_000, seed=78)
+    vb = true_value(baseline_policy(spec.design), draws)
+    orc = oracle_policy(spec.design, draws, grid_size=400)
+    vo = true_value(orc, draws)
+    return draws, vb, vo
 
 
 class TestCriterion2RegretTrend:
     def test_scenario_a_regret_shrinks_with_n(self, scenario_a_truth):
-        spec, draws, vb = scenario_a_truth
+        draws, vb = scenario_a_truth
         stats = {}
         for n in (1000, 4000, 16000):
             regrets = []
             for rep in range(200):
                 ds = generate(ScenarioSpec(scenario="A", n=n), seed=rep_seed(f"c2-{n}", rep))
                 learned = run_learn(ds, seed=rep, multipliers=[1.0])[1.0]
-                regrets.append(vb - true_value(learned.policy, spec, draws=draws))
+                regrets.append(vb - true_value(learned.policy, draws))
             r = np.asarray(regrets)
             stats[n] = (float(r.mean()), float(r.std(ddof=1) / np.sqrt(r.size)))
         nonneg = all(mean >= -2 * se for mean, se in stats.values())
@@ -115,13 +115,13 @@ class TestCriterion2RegretTrend:
 
 class TestCriterion3Improvement:
     def test_scenario_b_beats_baseline(self, scenario_b_truth):
-        spec, draws, vb, vo = scenario_b_truth
+        draws, vb, vo = scenario_b_truth
         imp1, reg1, reg4 = [], [], []
         for rep in range(200):
             ds = generate(ScenarioSpec(scenario="B", n=8000), seed=rep_seed("c3", rep))
             learned = run_learn(ds, seed=rep, multipliers=[1.0, 4.0])
-            v1 = true_value(learned[1.0].policy, spec, draws=draws)
-            v4 = true_value(learned[4.0].policy, spec, draws=draws)
+            v1 = true_value(learned[1.0].policy, draws)
+            v4 = true_value(learned[4.0].policy, draws)
             imp1.append(v1 - vb)
             reg1.append(vo - v1)
             reg4.append(vo - v4)

@@ -118,6 +118,19 @@ class TestLearn:
         assert result["provenance"]["seed"] == 9  # flag overrides config
         assert result["diagnostics"]["multiplier"] == 2.0
 
+    def test_integral_floats_in_config_are_integers(self, workdir, tmp_path):
+        # YAML reads `folds: 3.0` as a float; it runs as 3 folds
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("folds: 3.0\nseed: 4.0\n")
+        args = ["learn", "--input", str(workdir / "data.csv"),
+                "--design", str(workdir / "design.yaml")]
+        assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--folds", "3", "--seed", "4", "--out", str(tmp_path / "b")]) == 0
+        a, b = (json.loads(read(tmp_path / d / "learned_policy.json")) for d in "ab")
+        assert a["provenance"]["seed"] == 4
+        del a["provenance"]["config_hash"], b["provenance"]["config_hash"]
+        assert a == b
+
     def test_bad_clamp_rejected(self, workdir, tmp_path):
         rc = main(["learn", "--input", str(workdir / "data.csv"),
                    "--design", str(workdir / "design.yaml"),
@@ -185,6 +198,34 @@ class TestRejectedBeforeFitting:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ("cost: abc\n", "config value 'cost' must be a number, got 'abc'"),
+        ("clamp: [0.1]\n", "config value 'clamp' must be a number, got [0.1]"),
+        ("folds: 2.7\n", "config value 'folds' must be an integer, got 2.7"),
+        ("folds: two\n", "config value 'folds' must be an integer, got 'two'"),
+        ("seed: 1.5\n", "config value 'seed' must be an integer, got 1.5"),
+    ], ids=["cost", "clamp", "fractional-folds", "text-folds", "seed"])
+    @pytest.mark.parametrize("command", ["learn", "sensitivity"])
+    def test_bad_config_value_names_its_key(self, workdir, tmp_path, capsys, command, config,
+                                            message):
+        (tmp_path / "run.yaml").write_text(config)
+        assert self.run(workdir, tmp_path, command, "--config", str(tmp_path / "run.yaml")) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ("multipliers: []\n", "at least one multiplier and one cost"),
+        ("costs: []\n", "at least one multiplier and one cost"),
+        ("costs: [0, x]\n", "config value 'costs' must be a list of numbers"),
+        ("multipliers: 2\n", "config value 'multipliers' must be a list of numbers"),
+    ], ids=["no-multipliers", "no-costs", "text-cost", "scalar-multipliers"])
+    def test_bad_sweep_lists_in_config(self, workdir, tmp_path, capsys, config, message):
+        (tmp_path / "run.yaml").write_text(config)
+        assert self.run(workdir, tmp_path, "sensitivity",
+                        "--config", str(tmp_path / "run.yaml")) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_infinite_multiplier_in_simulate(self, tmp_path, capsys):
         rc = main(["simulate", "--multipliers", "inf", "--reps", "2",
                    "--out", str(tmp_path / "x")])
@@ -195,12 +236,18 @@ class TestRejectedBeforeFitting:
         ("", ["--sizes", "1000", "0"], "sample size must be positive"),
         # a config file can name a scenario that argparse's choices never see
         ("scenarios: [A, C]\n", [], "scenario must be"),
-    ], ids=["size", "scenario"])
+        ("scenarios: []\n", [], "needs at least one scenario"),
+        ("sizes: []\n", [], "needs at least one sample size"),
+        ("multipliers: []\n", [], "needs at least one multiplier"),
+        ("sizes: [1000.5]\n", [], "config value 'sizes' must be a list of integers"),
+        ("seed: 0.5\n", [], "config value 'seed' must be an integer, got 0.5"),
+    ], ids=["size", "scenario", "no-scenarios", "no-sizes", "no-multipliers",
+            "fractional-size", "fractional-seed"])
     def test_bad_simulate_settings(self, tmp_path, capsys, monkeypatch, config, flags, message):
         def draw(*args, **kwargs):
             raise AssertionError("drew a population before checking the settings")
 
-        monkeypatch.setattr(simlab, "_draw_population", draw)
+        monkeypatch.setattr(simlab, "draw_population", draw)
         (tmp_path / "sim.yaml").write_text(config)
         rc = main(["simulate", "--config", str(tmp_path / "sim.yaml"), *flags, "--reps", "2",
                    "--out", str(tmp_path / "x")])

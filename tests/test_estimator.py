@@ -191,7 +191,7 @@ class TestCrossfitNuisances:
                                             (nus.control, ds.x < cut, ds.x <= cut)):
                 for i in np.flatnonzero(domain):
                     train = (folds.fold_of != folds.fold_of[i]) & (ds.rank == rank) & fit_side
-                    want = CurveFit(ds.x[train], ds.y[train], config).value(ds.x[i])
+                    want = CurveFit(ds.x[train], ds.y[train], config).values(ds.x[i])
                     assert abs(table[i, rank - 1] - want) <= 1e-12
                     checked += 1
         assert checked == 2 * len(ds) + np.isin(ds.x, ds.design.sorted_cutoffs).sum()

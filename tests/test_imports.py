@@ -1,6 +1,7 @@
 """Every name imported by the package modules and the tests is used, every
-top-level definition of the package is exported or used, and every package
-name the README cites exists."""
+top-level definition of the package is exported or used, every defaulted
+parameter of a package function is set by some call, and every package name
+the README cites exists."""
 import ast
 import functools
 import importlib
@@ -115,6 +116,70 @@ def test_dead_definition_scanner():
 def test_no_dead_definitions():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_definitions(modules) == []
+
+
+def dead_parameters(package: dict, callers: list):
+    """(module, function, parameter) of each defaulted parameter of a package
+    function that no call in `callers` sets, by keyword or by position.
+
+    `package` maps module names to their source; `callers` lists sources. A
+    call is matched to every function of its name, whether written `f(...)`
+    or `obj.f(...)`, and a call of a class to its `__init__`. A call that
+    passes *args or **kwargs sets every parameter of the functions it matches.
+    """
+    functions = []  # (module, qualified name, name it is called by, def node)
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((module, node.name, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        called = node.name if item.name == "__init__" else item.name
+                        functions.append((module, f"{node.name}.{item.name}", called, item))
+    calls = {}  # called name -> its calls
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for module, qualname, called, fn in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        if "." in qualname:
+            positional = positional[1:]  # self
+        defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(fn.args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        matching = calls.get(called, [])
+        for index, name in defaulted:
+            if not any(any(isinstance(a, ast.Starred) for a in c.args)
+                       or any(k.arg in (None, name) for k in c.keywords)
+                       or (index is not None and index < len(c.args)) for c in matching):
+                dead.append((module, qualname, name))
+    return dead
+
+
+def test_dead_parameter_scanner():
+    package = {"a": (
+        "def f(x, flag=False, *, sep=','):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, n=1, m=2):\n        pass\n"
+        "    def run(self, k=0):\n        pass\n"
+        "def g(v=1):\n    pass\n"
+        "def h(a, b=2):\n    pass\n"
+        "def unused(z=1):\n    pass\n"
+    )}
+    callers = ["f(1, True)\nC(m=3)\nobj.run(5)\n", "g(**options)\nh(*args)\n"]
+    assert dead_parameters(package, callers) == [
+        ("a", "f", "sep"), ("a", "C.__init__", "n"), ("a", "unused", "z")]
+
+
+def test_no_dead_parameters():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    callers = [p.read_text(encoding="utf-8") for p in FILES]
+    assert dead_parameters(package, callers) == []
 
 
 # backticked names ending in these are file names, not package names

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import random_bounds, random_toy
+from oracles import bf_components, bf_lower, random_bounds, random_toy
 from rdsafe import learner
 from rdsafe.core import (
     DataError,
@@ -30,6 +30,14 @@ from rdsafe.learner import (
 from rdsafe.simlab import ScenarioSpec, generate
 
 
+def one_record_per_group(design):
+    """A dataset of one record at x = 0.5 in each group of the design."""
+    labels = design.groups
+    w = [int(0.5 >= design.cutoffs[label]) for label in labels]
+    return Dataset([0.5] * len(labels), labels, w, [0.0] * len(labels), design,
+                   min_group_size=1)
+
+
 class TestCandidateGrid:
     def test_observed_mode_example(self):
         design = StudyDesign({1: 0.0, 2: 1.0})
@@ -37,26 +45,26 @@ class TestCandidateGrid:
                 (1.5, 1, 1, 0.0), (1.5, 2, 1, 0.0),
                 (-0.5, 2, 0, 0.0)]
         ds = Dataset(*zip(*recs), design, min_group_size=1)
-        grid = candidate_grid(ds, design, "observed")
+        grid = candidate_grid(ds, "observed")
         for rank in (1, 2):
             assert list(grid.for_rank(rank)) == [0.0, 0.2, 0.7, 1.0]
 
     def test_uniform_mode(self):
         design = StudyDesign({1: 0.0, 2: 1.0})
-        grid = candidate_grid(None, design, "uniform:3")
+        grid = candidate_grid(one_record_per_group(design), "uniform:3")
         assert list(grid.for_rank(1)) == [0.0, 0.5, 1.0]
 
     def test_baseline_always_in_grid(self):
         design = StudyDesign({1: 0.0, 2: 0.37, 3: 1.0})
-        grid = candidate_grid(None, design, "uniform:4")
+        grid = candidate_grid(one_record_per_group(design), "uniform:4")
         assert 0.37 in grid.for_rank(2)
 
     def test_bad_mode(self):
-        design = StudyDesign({1: 0.0, 2: 1.0})
-        with pytest.raises(ValueError):
-            candidate_grid(None, design, "chebyshev")
-        with pytest.raises(ValueError):
-            candidate_grid(None, design, "uniform:1")
+        ds = one_record_per_group(StudyDesign({1: 0.0, 2: 1.0}))
+        with pytest.raises(DataError, match="grid mode"):
+            candidate_grid(ds, "chebyshev")
+        with pytest.raises(DataError, match="at least 2 points"):
+            candidate_grid(ds, "uniform:1")
 
 
 def toy_problem(seed):
@@ -99,6 +107,62 @@ class TestGroupObjective:
             )
             want = value_breakdown(ds, policy, scores, bounds).total
             assert total == pytest.approx(want, abs=1e-12)
+
+
+class TestRecordsAtCutoffs:
+    """Records with x exactly at c_1 and at c_Q, in every group. The sharp
+    rule treats a record at its own cutoff, and so does a candidate equal to
+    its x; a record at c_Q lies in the topmost interval."""
+
+    @staticmethod
+    def with_ties(ds, seed):
+        """`ds` plus two records at c_1 and two at c_Q in every group."""
+        design = ds.design
+        rng = np.random.default_rng(seed)
+        ties = [(c, label, int(c >= design.cutoffs[label]), float(rng.normal()))
+                for c in (design.c_min, design.c_max) for label in design.groups
+                for _ in range(2)]
+        x, g, w, y = zip(*ties)
+        return Dataset(np.concatenate([ds.x, x]), [*map(design.label_of, ds.rank.tolist()), *g],
+                       np.concatenate([ds.w, w]), np.concatenate([ds.y, y]), design,
+                       min_group_size=1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_breakdown_and_search_match_brute_force(self, seed):
+        ds, mean_fn, prop_fn = random_toy(seed)
+        ds = self.with_ties(ds, seed)
+        design = ds.design
+        cuts = design.sorted_cutoffs.tolist()
+        scores = compute_dr_scores(ds, oracle_nuisances(ds, mean_fn, prop_fn))
+        boundary, lam, anchors = random_bounds(design, seed + 300)
+        bounds = BoundModel(design, boundary, lam)
+        cost = 0.3 if seed % 2 else 0.0
+        base = baseline_policy(design)
+        order = np.argsort(ds.x, kind="stable")
+        contributions = {rank: _record_contributions(ds, rank, scores, bounds, cost)
+                         for rank in range(1, design.q + 1)}
+        # the baseline and every policy whose cutoffs are baseline cutoffs
+        for combo in itertools.product(cuts, repeat=design.q):
+            policy = ThresholdPolicy(dict(zip(design.groups, combo)), design)
+            got = value_breakdown(ds, policy, scores, bounds, cost)
+            want = bf_components(ds, policy, base, mean_fn, prop_fn,
+                                 bf_lower(boundary, lam, anchors), cost=cost)
+            assert got.iden == pytest.approx(want[0], abs=1e-12)
+            assert got.dr == pytest.approx(want[1], abs=1e-12)
+            assert got.xi2_worst == pytest.approx(want[2], abs=1e-12)
+            searched = sum(_candidate_values(ds, a, b, order, np.array([c]))[0]
+                           for (a, b), c in zip(contributions.values(), combo))
+            assert searched == pytest.approx(sum(want), abs=1e-12)
+            if policy == base:
+                assert (got.dr, got.xi2_worst) == (0.0, 0.0)
+
+    def test_learn_runs_on_records_at_every_cutoff(self):
+        ds = self.with_ties(generate(ScenarioSpec(scenario="B", n=2000), seed=4), seed=4)
+        learned = learn_policy(ds, LearnerConfig(seed=1))
+        comps = prepare_components(ds, LearnerConfig(seed=1))
+        want = value_breakdown(ds, learned.policy, comps.raw_scores, comps.bounds)
+        assert learned.breakdown == want
+        assert learned.objective_gain >= 0.0
 
 
 class TestSeparability:
@@ -183,8 +247,10 @@ class TestSensitivitySweep:
 
     def test_empty_lists_rejected(self, components):
         ds, comps = components
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="at least one multiplier and one cost"):
             sensitivity_sweep(ds, [], [0.0], components=comps)
+        with pytest.raises(DataError, match="at least one multiplier and one cost"):
+            sensitivity_sweep(ds, [1.0], [], components=comps)
 
     def test_reuse_matches_full_learn(self, components):
         ds, comps = components
@@ -216,7 +282,7 @@ class TestConfigChecks:
         with pytest.raises(DataError, match="grid"):
             LearnerConfig(grid_mode=mode)
         with pytest.raises(DataError, match="grid"):
-            candidate_grid(None, StudyDesign({1: 0.0, 2: 1.0}), mode)
+            candidate_grid(one_record_per_group(StudyDesign({1: 0.0, 2: 1.0})), mode)
 
     @pytest.mark.parametrize("m", [-1.0, -1e-300, np.inf, np.nan])
     def test_bad_multiplier_rejected(self, m, three_groups, monkeypatch):

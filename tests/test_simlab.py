@@ -8,7 +8,7 @@ from rdsafe.core import DataError, ThresholdPolicy, baseline_policy
 from rdsafe.simlab import (
     Population,
     ScenarioSpec,
-    _draw_population,
+    draw_population,
     generate,
     oracle_policy,
     regret_experiment,
@@ -67,7 +67,7 @@ class TestPopulation:
     def test_arm_means_equal_mean_outcome_bitwise(self, scenario, cutoffs, mc_size):
         # mean_outcome on the same blocks of draws, as the arm means are built
         spec = ScenarioSpec(scenario=scenario, n=10, cutoffs=cutoffs)
-        pop = _draw_population(spec, mc_size, seed=mc_size)
+        pop = draw_population(spec, mc_size, seed=mc_size)
         blocks = [slice(s, s + simlab._MEAN_CHUNK) for s in range(0, mc_size, simlab._MEAN_CHUNK)]
         for arm, got in ((1, pop.treated), (0, pop.control)):
             want = np.concatenate([spec.mean_outcome(arm, pop.x[b], pop.g[b]) for b in blocks])
@@ -77,22 +77,22 @@ class TestPopulation:
 class TestTrueValue:
     def test_identical_policies_bit_exact(self):
         spec = ScenarioSpec(scenario="A", n=10)
-        draws = _draw_population(spec, 50_000, seed=4)
+        draws = draw_population(spec, 50_000, seed=4)
         p1 = ThresholdPolicy({1: -700.0, 2: -600.0}, spec.design)
         p2 = ThresholdPolicy({1: -700.0, 2: -600.0}, spec.design)
-        assert true_value(p1, spec, draws=draws) == true_value(p2, spec, draws=draws)
+        assert true_value(p1, draws) == true_value(p2, draws)
 
     def test_linear_in_cost(self):
         spec = ScenarioSpec(scenario="B", n=10)
-        draws = _draw_population(spec, 50_000, seed=5)
+        draws = draw_population(spec, 50_000, seed=5)
         rng = np.random.default_rng(0)
         for _ in range(5):
             p = ThresholdPolicy(
                 {1: float(rng.uniform(-850, -571)), 2: float(rng.uniform(-850, -571))},
                 spec.design)
-            v0 = true_value(p, spec, draws=draws, cost=0.0)
+            v0 = true_value(p, draws, cost=0.0)
             c = float(rng.uniform(0, 1))
-            vc = true_value(p, spec, draws=draws, cost=c)
+            vc = true_value(p, draws, cost=c)
             epi = float(np.mean(p.indicator(draws.x, draws.g)))
             assert vc == pytest.approx(v0 - c * epi, abs=1e-12)
 
@@ -101,10 +101,10 @@ class TestTrueValue:
         # per-label policy must keep its value on the same draws
         spec = ScenarioSpec(scenario="B", n=10)
         swapped = ScenarioSpec(scenario="B", n=10, cutoffs={1: -571.0, 2: -850.0})
-        draws = _draw_population(spec, 200_000, seed=0)
+        draws = draw_population(spec, 200_000, seed=0)
         cutoffs = {1: -700.0, 2: -600.0}
-        want = true_value(ThresholdPolicy(cutoffs, spec.design), spec, draws=draws)
-        got = true_value(ThresholdPolicy(cutoffs, swapped.design), swapped, draws=draws)
+        want = true_value(ThresholdPolicy(cutoffs, spec.design), draws)
+        got = true_value(ThresholdPolicy(cutoffs, swapped.design), draws)
         assert got == want
 
     @pytest.mark.parametrize("scenario", ["A", "B"])
@@ -113,65 +113,58 @@ class TestTrueValue:
         1, simlab._MEAN_CHUNK - 1, simlab._MEAN_CHUNK + 1, 2 * simlab._MEAN_CHUNK + 4321])
     def test_equals_direct_formula_bitwise(self, scenario, cutoffs, mc_size):
         spec = ScenarioSpec(scenario=scenario, n=10, cutoffs=cutoffs)
-        draws = _draw_population(spec, mc_size, seed=mc_size)
+        draws = draw_population(spec, mc_size, seed=mc_size)
         rng = np.random.default_rng(mc_size)
         for cost in (0.0, 0.37, 1.0):
             p = ThresholdPolicy({1: float(rng.uniform(-850, -571)),
                                  2: float(rng.uniform(-850, -571))}, spec.design)
             want = direct_true_value(p, spec, draws.x, draws.g, cost=cost)
-            assert true_value(p, spec, draws=draws, cost=cost) == want
-            assert true_value(p, spec, mc_size=mc_size, seed=mc_size, cost=cost) == want
-
-    @pytest.mark.parametrize("spec", [ScenarioSpec(scenario="B", n=10),
-                                      ScenarioSpec(scenario="A", n=10, sigma_eps=5.0)])
-    def test_draws_of_another_scenario_rejected(self, spec):
-        draws = _draw_population(ScenarioSpec(scenario="A", n=10), 1_000, seed=0)
-        with pytest.raises(ValueError, match="draws were made for scenario 'A'"):
-            true_value(baseline_policy(spec.design), spec, draws=draws)
+            assert true_value(p, draws, cost=cost) == want
 
     def test_scenario_a_baseline_near_optimal(self):
         spec = ScenarioSpec(scenario="A", n=10)
-        draws = _draw_population(spec, 400_000, seed=6)
+        draws = draw_population(spec, 400_000, seed=6)
         base = baseline_policy(spec.design)
-        vb = true_value(base, spec, draws=draws)
+        vb = true_value(base, draws)
         grid = np.linspace(-850, -571, 40)
         se = 2.0 / np.sqrt(400_000)  # conservative outcome-scale bound
         for c1 in grid[::13]:
             for c2 in grid:
                 p = ThresholdPolicy({1: float(c1), 2: float(c2)}, spec.design)
-                assert true_value(p, spec, draws=draws) <= vb + 2 * se + 1e-4
+                assert true_value(p, draws) <= vb + 2 * se + 1e-4
 
     def test_scenario_b_baseline_improvable(self):
         spec = ScenarioSpec(scenario="B", n=10)
-        draws = _draw_population(spec, 400_000, seed=7)
+        draws = draw_population(spec, 400_000, seed=7)
         base = baseline_policy(spec.design)
-        vb = true_value(base, spec, draws=draws)
+        vb = true_value(base, draws)
         grid = np.linspace(-850, -571, 100)
-        best2 = max(true_value(ThresholdPolicy({1: -850.0, 2: float(c)}, spec.design),
-                               spec, draws=draws) for c in grid)
+        best2 = max(true_value(ThresholdPolicy({1: -850.0, 2: float(c)}, spec.design), draws)
+                    for c in grid)
         assert best2 > vb + 0.001  # lowering group 2's cutoff helps by itself
-        orc = oracle_policy(spec, grid_size=100, mc_size=400_000, seed=7)
-        assert true_value(orc, spec, draws=draws) > vb + 0.005
+        orc = oracle_policy(spec.design, draws, grid_size=100)
+        assert true_value(orc, draws) > vb + 0.005
 
 
 class TestOraclePolicy:
     def test_grid_of_baselines_returns_baseline(self):
         spec = ScenarioSpec(scenario="B", n=10)
         # grid_size=2 gives only the endpoints {-850, -571}, both baselines
-        orc = oracle_policy(spec, grid_size=2, mc_size=50_000, seed=0)
+        orc = oracle_policy(spec.design, draw_population(spec, 50_000, seed=0), grid_size=2)
         assert set(orc.cutoffs.values()) <= {-850.0, -571.0}
 
     def test_scenario_b_oracle_differs_from_baseline(self):
         spec = ScenarioSpec(scenario="B", n=10)
-        orc = oracle_policy(spec, grid_size=100, mc_size=300_000, seed=1)
+        orc = oracle_policy(spec.design, draw_population(spec, 300_000, seed=1), grid_size=100)
         step = (850 - 571) / 99
         assert abs(orc.cutoffs[2] - (-571.0)) > step
 
     def test_cutoff_order_of_labels_does_not_matter(self):
         spec = ScenarioSpec(scenario="B", n=10)
         swapped = ScenarioSpec(scenario="B", n=10, cutoffs={1: -571.0, 2: -850.0})
-        want = oracle_policy(spec, mc_size=200_000, seed=0).cutoffs
-        got = oracle_policy(swapped, mc_size=200_000, seed=0).cutoffs
+        draws = draw_population(spec, 200_000, seed=0)
+        want = oracle_policy(spec.design, draws).cutoffs
+        got = oracle_policy(swapped.design, draws).cutoffs
         assert got == want
         assert want[1] == -571.0 and want[2] == pytest.approx(-667.74, abs=0.01)
 
@@ -179,10 +172,14 @@ class TestOraclePolicy:
     @pytest.mark.parametrize("scenario", ["A", "B"])
     @pytest.mark.parametrize("cost", [0.0, 0.3])
     def test_given_draws_match_own_draws(self, scenario, cutoffs, cost):
+        # with one way to make draws, the oracle on a drawn population is checked
+        # against the draw-by-draw search of `oracles.stable_oracle_search`
         spec = ScenarioSpec(scenario=scenario, n=10, cutoffs=cutoffs)
-        draws = _draw_population(spec, 100_000, seed=3)
-        want = oracle_policy(spec, mc_size=100_000, seed=3, cost=cost).cutoffs
-        assert oracle_policy(spec, draws=draws, cost=cost).cutoffs == want
+        draws = draw_population(spec, 4_000, seed=3)
+        grid = np.linspace(-850.0, -571.0, 40)
+        want = stable_oracle_search(draws, spec.design, grid, cost)
+        got = oracle_policy(spec.design, draws, grid_size=grid.size, cost=cost)
+        assert got.cutoffs == {label: cut for label, (_, cut) in want.items()}
 
     @pytest.mark.parametrize("cost", [0.0, 0.3])
     def test_repeated_x_match_a_stable_sort(self, cost, monkeypatch):
@@ -196,8 +193,7 @@ class TestOraclePolicy:
         pick = rng.integers(0, levels.size, 3000)
         g = rng.integers(1, 3, pick.size)
         means = rng.normal(0.0, 1.0, (2, levels.size, 3))
-        pop = Population("B", spec.sigma_eps, levels[pick], g,
-                         means[0, pick, g] + 0.05, means[1, pick, g])
+        pop = Population(levels[pick], g, means[0, pick, g] + 0.05, means[1, pick, g])
         searched = []
 
         class SpyNumpy:
@@ -210,23 +206,18 @@ class TestOraclePolicy:
                 return np.max(a, *args, **kwargs)
 
         monkeypatch.setattr(learner, "np", SpyNumpy())
-        got = oracle_policy(spec, grid_size=grid.size, draws=pop, cost=cost)
+        got = oracle_policy(spec.design, pop, grid_size=grid.size, cost=cost)
         want = stable_oracle_search(pop, spec.design, grid, cost)
         assert got.cutoffs == {label: cut for label, (_, cut) in want.items()}
         assert len(searched) == 2
         for vals, label in zip(searched, (1, 2)):
             assert np.array_equal(vals, want[label][0])
 
-    def test_draws_of_another_scenario_rejected(self):
-        draws = _draw_population(ScenarioSpec(scenario="A", n=10), 1_000, seed=0)
-        with pytest.raises(ValueError, match="scenario 'A'"):
-            oracle_policy(ScenarioSpec(scenario="B", n=10), draws=draws)
-
     def test_scenario_a_group2_near_baseline_on_coarse_grid(self):
         # the scenario coefficients put the true optimum ~13 units below the
         # baseline cutoff; a coarse grid cannot resolve the difference
         spec = ScenarioSpec(scenario="A", n=10)
-        orc = oracle_policy(spec, grid_size=15, mc_size=300_000, seed=2)
+        orc = oracle_policy(spec.design, draw_population(spec, 300_000, seed=2), grid_size=15)
         step = (850 - 571) / 14
         assert abs(orc.cutoffs[2] - (-571.0)) <= step + 1e-9
         assert orc.cutoffs[1] == -850.0
@@ -245,9 +236,9 @@ class TestRegretExperiment:
         [cell] = regret_experiment(scenarios=["B"], n_list=[400], multipliers=[1.0],
                                    reps=3, seed=13, mc_size=20_000)
         spec = ScenarioSpec(scenario="B", n=400)
-        draws = _draw_population(spec, 20_000, seed=13)
-        vb = true_value(baseline_policy(spec.design), spec, draws=draws)
-        vo = true_value(oracle_policy(spec, mc_size=20_000, seed=13), spec, draws=draws)
+        draws = draw_population(spec, 20_000, seed=13)
+        vb = true_value(baseline_policy(spec.design), draws)
+        vo = true_value(oracle_policy(spec.design, draws), draws)
         gap = vo - vb
         assert cell.regret_oracle_mean == pytest.approx(
             cell.regret_baseline_mean + gap, abs=1e-12)
@@ -264,9 +255,18 @@ class TestRegretExperiment:
         def draw(*args, **kwargs):
             raise AssertionError("drew a population before checking the specs")
 
-        monkeypatch.setattr(simlab, "_draw_population", draw)
+        monkeypatch.setattr(simlab, "draw_population", draw)
         with pytest.raises(DataError, match=message):
             regret_experiment(scenarios, sizes, [1.0], reps=2, seed=0, mc_size=1_000)
+
+    @pytest.mark.parametrize("scenarios, sizes, multipliers, what", [
+        ([], [400], [1.0], "scenario"),
+        (["A"], [], [1.0], "sample size"),
+        (["A"], [400], [], "multiplier"),
+    ], ids=["scenarios", "sizes", "multipliers"])
+    def test_empty_lists_rejected(self, scenarios, sizes, multipliers, what):
+        with pytest.raises(DataError, match=f"needs at least one {what}"):
+            regret_experiment(scenarios, sizes, multipliers, reps=2, seed=0, mc_size=1_000)
 
     @pytest.mark.parametrize("m", [-1.0, np.inf])
     def test_bad_multiplier_is_not_a_failed_replication(self, m):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import log_softmax, softmax
 
 from oracles import dense_kernel_weights, dense_local_fit
 from rdsafe import smooth
@@ -47,7 +49,7 @@ class TestLocalPoly:
     def test_constant_curve(self):
         pts = poly_points([4.2])
         fit = CurveFit(pts[:, 0], pts[:, 1], LocalPolyConfig(degree=1))
-        assert abs(fit.value(0.7) - 4.2) < 1e-8
+        assert abs(fit.values(0.7) - 4.2) < 1e-8
         assert abs(fit.derivatives(0.7)) < 1e-8
 
     def test_too_few_distinct_points(self):
@@ -72,7 +74,8 @@ class TestLocalPoly:
     def test_scalar_query_returns_float(self):
         pts = poly_points([0.0, 1.0])
         fit = CurveFit(pts[:, 0], pts[:, 1])
-        assert isinstance(fit.value(1.0), float)
+        assert isinstance(fit.values(1.0), float)
+        assert isinstance(fit.derivatives(1.0), float)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_batch_equals_single_queries_bitwise(self, degree):
@@ -81,13 +84,13 @@ class TestLocalPoly:
         fit = CurveFit(x, np.sin(x) + rng.normal(0.0, 0.5, x.size), LocalPolyConfig(degree=degree))
         q = rng.uniform(-3.0, 3.0, 600)
         batch = fit.values(q)
-        assert [float(v) for v in batch] == [fit.value(v) for v in q]
+        assert [float(v) for v in batch] == [fit.values(v) for v in q]
         assert fit.values(q[::-1]).tolist() == batch[::-1].tolist()
 
     def test_unsorted_queries_beyond_the_data_keep_their_order(self):
         x = np.linspace(0.0, 10.0, 50)
         fit = CurveFit(x, 2.0 * x, LocalPolyConfig(degree=1, bandwidth=1.0))
-        assert np.allclose(fit.values([12.5, 11.2]), [fit.value(12.5), fit.value(11.2)])
+        assert np.allclose(fit.values([12.5, 11.2]), [fit.values(12.5), fit.values(11.2)])
         assert np.allclose(fit.values([12.5, 11.2]), [25.0, 22.4])
 
     @settings(max_examples=20, deadline=None)
@@ -399,6 +402,40 @@ class TestPropensity:
         truth = 1 / (1 + np.exp(-0.3 * x))
         est = model.probabilities(x)[:, 1]
         assert np.max(np.abs(est - truth)) < 0.06
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_matches_an_independent_optimiser(self, q):
+        # the multinomial logit on the cubic basis of the standardized x, rank Q
+        # the reference class, maximised by BFGS from scipy
+        rng = np.random.default_rng(20 + q)
+        x = rng.uniform(-3.0, 5.0, 1500)
+        truth = softmax(np.outer(x, np.linspace(-0.8, 0.8, q)) + np.sin(x)[:, None]
+                        * np.arange(q), axis=1)
+        rank = 1 + (rng.random(x.size)[:, None] > np.cumsum(truth, axis=1)[:, :-1]).sum(axis=1)
+        z = (x - x.mean()) / x.std()
+        basis = np.stack([np.ones_like(z), z, z * z, z * z * z], axis=1)
+        onehot = np.eye(q)[rank - 1]
+
+        def logits(theta, b):
+            return np.column_stack([b @ theta.reshape(q - 1, 4).T, np.zeros(len(b))])
+
+        def negloglik(theta):
+            eta = logits(theta, basis)
+            resid = onehot - softmax(eta, axis=1)
+            return -np.sum(onehot * log_softmax(eta, axis=1)), -(resid[:, :-1].T @ basis).ravel()
+
+        fit = minimize(negloglik, np.zeros(4 * (q - 1)), jac=True, method="BFGS",
+                       options={"gtol": 1e-9, "maxiter": 10_000})
+        # BFGS may stop on precision loss a little short of a zero gradient
+        assert np.linalg.norm(fit.jac) < 1e-4
+        eps = 0.01
+        queries = np.linspace(-3.0, 5.0, 81)
+        zq = (queries - x.mean()) / x.std()
+        want = eps + (1 - q * eps) * softmax(
+            logits(fit.x, np.stack([np.ones_like(zq), zq, zq * zq, zq * zq * zq], axis=1)),
+            axis=1)
+        got = _fit_propensity_arrays(x, rank, q, clamp_eps=eps).probabilities(queries)
+        assert np.max(np.abs(got - want)) < 1e-6
 
     def test_tiny_group_rejected(self):
         design = StudyDesign({1: -5.0, 2: 5.0})
