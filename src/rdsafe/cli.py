@@ -94,7 +94,8 @@ def _merged_config(args, file_cfg: dict) -> dict:
     return cfg
 
 
-_KINDS = {int: ("an integer", "a list of integers"), float: ("a number", "a list of numbers")}
+_KINDS = {int: ("an integer", "a list of integers"), float: ("a number", "a list of numbers"),
+          str: ("a string", "a list of strings")}
 
 
 def _convert(kind, value):
@@ -104,12 +105,14 @@ def _convert(kind, value):
 
 
 def _setting(cfg: dict, key: str, default, kind):
-    """cfg[key], or the default, as a `kind` (int or float), or as a list of
-    them if the default is a list. A value that does not convert is a
-    DataError naming its key; the library checks the ranges."""
+    """cfg[key], or the default, as a `kind` (int, float or str), or as a list
+    of them exactly when the default is a list. A value that does not convert
+    is a DataError naming its key; the library checks the ranges."""
     value = cfg.get(key, default)
     many = isinstance(default, list)
     try:
+        if isinstance(value, list) != many:  # a string is no list of its characters
+            raise TypeError
         return [_convert(kind, v) for v in value] if many else _convert(kind, value)
     except (TypeError, ValueError):
         raise DataError(f"config value {key!r} must be {_KINDS[kind][many]}, "
@@ -206,7 +209,7 @@ def cmd_learn(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     cells = regret_experiment(
-        scenarios=cfg.get("scenarios", ["A"]),
+        scenarios=_setting(cfg, "scenarios", ["A"], str),
         n_list=_setting(cfg, "sizes", [1000], int),
         multipliers=_setting(cfg, "multipliers", [1.0], float),
         reps=_setting(cfg, "reps", 10, int),

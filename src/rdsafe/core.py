@@ -254,8 +254,8 @@ def _match_group(raw: str, design: StudyDesign, row: int | None):
 def load_dataset(source, design: StudyDesign, min_group_size: int = 30) -> Dataset:
     """Parse comma-separated text with header columns x, g, w, y.
 
-    `source` is a path, bytes, or a text or binary stream; a file opened from a
-    path is closed before returning, and a caller's stream is left open.
+    `source` is a path or a text or binary stream; a file opened from a path
+    is closed before returning, and a caller's stream is left open.
     Column names are case-insensitive and may appear in any order. Blank rows
     are skipped. A row that is short or does not parse is reported by its
     1-based data line; the `Dataset` checks, among them the sharp assignment
@@ -264,8 +264,6 @@ def load_dataset(source, design: StudyDesign, min_group_size: int = 30) -> Datas
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as stream:
             columns = _read_columns(stream, design)
-    elif isinstance(source, bytes):
-        columns = _read_columns(io.StringIO(source.decode("utf-8")), design)
     elif isinstance(source, io.TextIOBase):
         columns = _read_columns(source, design)
     else:

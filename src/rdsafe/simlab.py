@@ -3,7 +3,8 @@
 Two scenarios share the same covariate and group mechanism and differ only in
 the outcome polynomial and the cross-group difference function. In scenario A
 the status-quo cutoffs are already optimal in the threshold class; in scenario
-B lowering the upper group's cutoff is genuinely beneficial.
+B lowering the upper group's cutoff is genuinely beneficial. The data
+(`generate`) and the ground truth are drawn by one process, `draw_population`.
 """
 from __future__ import annotations
 
@@ -23,46 +24,44 @@ _X_LO, _X_HI = -1000.0, -1.0
 # draws per block when the arm means are built, which bounds the temporaries
 _MEAN_CHUNK = 32_768
 
+# treated-arm coefficients, shared by the scenarios
 _GAMMA1 = np.array([0.96, 5.31e-4, 1.10e-6, 1.15e-9])
-_GAMMA0_A = np.array([-1.99, -1.00e-2, -1.20e-5, -4.59e-9])
-_GAMMA0_B = np.array([-1.94, -1.00e-2, -1.20e-5, -4.59e-9])
+
+
+class _Scenario(NamedTuple):
+    x_center: float  # centre of the outcome basis
+    gamma0: np.ndarray  # control-arm coefficients
+    shift: float  # the untreated arm's extra cross-group difference
+
+
+# one row of constants per scenario; its position is its spawn key (A -> 0)
+_SCENARIOS = {
+    "A": _Scenario(164.43, np.array([-1.99, -1.00e-2, -1.20e-5, -4.59e-9]), 0.3),
+    "B": _Scenario(0.0, np.array([-1.94, -1.00e-2, -1.20e-5, -4.59e-9]), -0.1),
+}
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Fully specified synthetic data-generating process."""
+    """A scenario's data-generating process and the cutoffs it assigns by."""
 
-    scenario: str  # "A" or "B"
-    n: int
+    scenario: str  # a key of _SCENARIOS
     cutoffs: dict = field(default_factory=lambda: dict(_CUTOFFS))
-    sigma_eps: float = _SIGMA_EPS
-    noise_sd: float = _NOISE_SD
 
     def __post_init__(self):
-        if self.scenario not in ("A", "B"):
-            raise DataError(f"scenario must be 'A' or 'B', got {self.scenario!r}")
-        if self.n < 1:
-            raise DataError(f"sample size must be positive, got {self.n}")
+        if not isinstance(self.scenario, str) or self.scenario not in _SCENARIOS:
+            raise DataError(f"scenario must be one of {list(_SCENARIOS)}, got {self.scenario!r}")
 
     @property
     def design(self) -> StudyDesign:
         return StudyDesign(self.cutoffs)
 
     @property
-    def x_center(self) -> float:
-        # scenario A's polynomial basis is shifted; B uses the raw powers
-        return 164.43 if self.scenario == "A" else 0.0
-
-    @property
-    def gamma0(self) -> np.ndarray:
-        return _GAMMA0_A if self.scenario == "A" else _GAMMA0_B
-
-    @property
-    def gamma1(self) -> np.ndarray:
-        return _GAMMA1
+    def _row(self) -> _Scenario:
+        return _SCENARIOS[self.scenario]
 
     def basis(self, x) -> np.ndarray:
-        z = np.asarray(x, dtype=float) - self.x_center
+        z = np.asarray(x, dtype=float) - self._row.x_center
         # products, not `z ** 3`: numpy's power calls libm pow for the cube
         z2 = z * z
         return np.stack([np.ones_like(z), z, z2, z2 * z], axis=-1)
@@ -71,8 +70,7 @@ class ScenarioSpec:
         """True cross-group difference d(w, x) = m(w,x,2) - m(w,x,1)."""
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
-        shift = 0.3 if self.scenario == "A" else -0.1
-        return 0.2 + np.exp(0.01 * x) + shift * (1.0 - w)
+        return 0.2 + np.exp(0.01 * x) + self._row.shift * (1.0 - w)
 
     def mean_outcome(self, w, x, g) -> np.ndarray:
         """True E[Y | W=w, X=x, G=g] (noise is mean zero)."""
@@ -80,24 +78,13 @@ class ScenarioSpec:
         x = np.asarray(x, dtype=float)
         g = np.asarray(g)
         b = self.basis(x)
-        poly = np.where(w == 1, b @ self.gamma1, b @ self.gamma0)
+        poly = np.where(w == 1, b @ _GAMMA1, b @ self._row.gamma0)
         return poly - np.where(g == 1, self.difference(w, x), 0.0)
 
-    def group_prob_latent(self, x) -> np.ndarray:
-        """Latent index whose positive part selects group 2: 0.01x + 5 + eps."""
-        return 0.01 * np.asarray(x, dtype=float) + 5.0
 
-
-def generate(spec: ScenarioSpec, seed: int) -> Dataset:
-    """Draw n records from the scenario's process; reproducible from the seed."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(_X_LO, _X_HI, size=spec.n)
-    eps = rng.normal(0.0, spec.sigma_eps, size=spec.n)
-    g = np.where(spec.group_prob_latent(x) + eps > 0, 2, 1)
-    cuts = np.array([spec.cutoffs[1], spec.cutoffs[2]])
-    w = (x >= cuts[g - 1]).astype(int)
-    y = spec.mean_outcome(w, x, g) + rng.normal(0.0, spec.noise_sd, size=spec.n)
-    return Dataset(x, g, w, y, spec.design)
+def _check_size(n):
+    if n < 1:
+        raise DataError(f"sample size must be positive, got {n}")
 
 
 class Population(NamedTuple):
@@ -115,30 +102,47 @@ class Population(NamedTuple):
     control: np.ndarray
 
 
-def draw_population(spec: ScenarioSpec, size: int, seed: int) -> Population:
+def draw_population(spec: ScenarioSpec, size: int, seed) -> Population:
     """`size` (X, G) draws of the spec's scenario, with both arms' mean outcomes.
 
-    The draws and their means depend on the scenario and `sigma_eps`, not on
-    n or the cutoffs.
+    `seed` is anything `np.random.default_rng` takes; a Generator is drawn
+    from in place. The draws and their means depend on the scenario, not on
+    the cutoffs.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(_X_LO, _X_HI, size=size)
-    eps = rng.normal(0.0, spec.sigma_eps, size=size)
-    g = np.where(spec.group_prob_latent(x) + eps > 0, 2, 1)
+    eps = rng.normal(0.0, _SIGMA_EPS, size=size)
+    # group 2 where the latent membership index 0.01x + 5 + eps is positive
+    g = np.where(0.01 * x + 5.0 + eps > 0, 2, 1)
     treated = np.empty(size)
     control = np.empty(size)
-    for start in range(0, size, _MEAN_CHUNK):
-        block = slice(start, start + _MEAN_CHUNK)
+    # never a block of one draw, whose matrix-vector product numpy rounds differently
+    for start in range(0, max(size - 1, 1), _MEAN_CHUNK):
+        stop = start + _MEAN_CHUNK
+        block = slice(start, stop if stop < size - 1 else size)
         # mean_outcome(w, x, g) for both arms from one basis: only label-1
         # draws carry the difference term
         b = spec.basis(x[block])
-        treated[block] = b @ spec.gamma1
-        control[block] = b @ spec.gamma0
+        treated[block] = b @ _GAMMA1
+        control[block] = b @ spec._row.gamma0
         del b  # freed before the difference terms: held on, it raised peak RSS by 2 MB
         one = start + np.flatnonzero(g[block] == 1)
         treated[one] -= spec.difference(1, x[one])
         control[one] -= spec.difference(0, x[one])
     return Population(x, g, treated, control)
+
+
+def generate(spec: ScenarioSpec, n: int, seed) -> Dataset:
+    """n records of the spec's process, reproducible from the seed: the
+    population's draws, their sharp assignment, and outcome noise drawn after
+    them from the same stream."""
+    _check_size(n)
+    rng = np.random.default_rng(seed)
+    draws = draw_population(spec, n, rng)
+    cuts = np.array([spec.cutoffs[1], spec.cutoffs[2]])
+    w = (draws.x >= cuts[draws.g - 1]).astype(int)
+    y = np.where(w == 1, draws.treated, draws.control) + rng.normal(0.0, _NOISE_SD, size=n)
+    return Dataset(draws.x, draws.g, w, y, spec.design)
 
 
 def true_value(policy: ThresholdPolicy, draws: Population, cost: float = 0.0) -> float:
@@ -188,8 +192,16 @@ class RegretCell:
 
 def _replication_seed(master: int, scenario: str, n: int, m_index: int, rep: int):
     # documented derivation scheme: one spawn key per (cell, replication)
-    key = (0 if scenario == "A" else 1, n, m_index, rep)
+    key = (list(_SCENARIOS).index(scenario), n, m_index, rep)
     return np.random.SeedSequence(entropy=master, spawn_key=key)
+
+
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and standard error of the values; NaN for fewer than two."""
+    if len(values) < 2:
+        return float("nan"), float("nan")
+    v = np.asarray(values)
+    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
 
 
 def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
@@ -211,26 +223,25 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
     # checked here, or every replication would count a bad M as a failure
     for m in multipliers:
         _check_multiplier(m)
-    # every spec is checked before the first population is drawn
-    specs = {(scenario, n): ScenarioSpec(scenario=scenario, n=n)
-             for scenario in scenarios for n in n_list}
+    # every scenario and size is checked before the first population is drawn
+    specs = [ScenarioSpec(scenario) for scenario in scenarios]
+    for n in n_list:
+        _check_size(n)
     cells = []
-    for scenario in scenarios:
+    for spec in specs:
         # the ground truth depends on the scenario, not on n or M
-        truth = ScenarioSpec(scenario=scenario, n=1)
-        draws = draw_population(truth, mc_size, seed)
-        v_base = true_value(baseline_policy(truth.design), draws)
-        v_star = true_value(oracle_policy(truth.design, draws), draws)
+        draws = draw_population(spec, mc_size, seed)
+        v_base = true_value(baseline_policy(spec.design), draws)
+        v_star = true_value(oracle_policy(spec.design, draws), draws)
         for n in n_list:
-            spec = specs[(scenario, n)]
             for m_index, m in enumerate(multipliers):
                 reg_base, reg_star = [], []
                 failures = 0
                 for rep in range(reps):
-                    ss = _replication_seed(seed, scenario, n, m_index, rep)
+                    ss = _replication_seed(seed, spec.scenario, n, m_index, rep)
                     child = ss.generate_state(2)
                     try:
-                        data = generate(spec, seed=ss)
+                        data = generate(spec, n, ss)
                         learned = learn_policy(data, LearnerConfig(
                             seed=int(child[0] % 2**31), multiplier=float(m)))
                         v_hat = true_value(learned.policy, draws)
@@ -239,21 +250,6 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                         continue
                     reg_base.append(v_base - v_hat)
                     reg_star.append(v_star - v_hat)
-                done = len(reg_base)
-                if done >= 2:
-                    rb = np.asarray(reg_base)
-                    ro = np.asarray(reg_star)
-                    cell = RegretCell(
-                        scenario=scenario, n=n, multiplier=float(m),
-                        regret_baseline_mean=float(rb.mean()),
-                        regret_baseline_se=float(rb.std(ddof=1) / np.sqrt(done)),
-                        regret_oracle_mean=float(ro.mean()),
-                        regret_oracle_se=float(ro.std(ddof=1) / np.sqrt(done)),
-                        reps=done, failures=failures,
-                    )
-                else:
-                    cell = RegretCell(scenario, n, float(m), float("nan"),
-                                      float("nan"), float("nan"), float("nan"),
-                                      done, failures)
-                cells.append(cell)
+                cells.append(RegretCell(spec.scenario, n, float(m), *_mean_se(reg_base),
+                                        *_mean_se(reg_star), len(reg_base), failures))
     return cells

@@ -63,7 +63,7 @@ class TestCriterion1Safety:
         ok = True
         for scenario in ("A", "B"):
             for rep in range(50):
-                ds = generate(ScenarioSpec(scenario=scenario, n=2000),
+                ds = generate(ScenarioSpec(scenario), 2000,
                               seed=rep_seed("c1" + scenario, rep))
                 for m, learned in run_learn(ds, seed=rep, multipliers=[0.0, 1.0, 4.0]).items():
                     gap = learned.breakdown.total - learned.baseline_breakdown.total
@@ -75,7 +75,7 @@ class TestCriterion1Safety:
 
 @pytest.fixture(scope="module")
 def scenario_a_truth():
-    spec = ScenarioSpec(scenario="A", n=10)
+    spec = ScenarioSpec("A")
     draws = draw_population(spec, 400_000, seed=77)
     vb = true_value(baseline_policy(spec.design), draws)
     return draws, vb
@@ -83,7 +83,7 @@ def scenario_a_truth():
 
 @pytest.fixture(scope="module")
 def scenario_b_truth():
-    spec = ScenarioSpec(scenario="B", n=10)
+    spec = ScenarioSpec("B")
     draws = draw_population(spec, 400_000, seed=78)
     vb = true_value(baseline_policy(spec.design), draws)
     orc = oracle_policy(spec.design, draws, grid_size=400)
@@ -98,7 +98,7 @@ class TestCriterion2RegretTrend:
         for n in (1000, 4000, 16000):
             regrets = []
             for rep in range(200):
-                ds = generate(ScenarioSpec(scenario="A", n=n), seed=rep_seed(f"c2-{n}", rep))
+                ds = generate(ScenarioSpec("A"), n, seed=rep_seed(f"c2-{n}", rep))
                 learned = run_learn(ds, seed=rep, multipliers=[1.0])[1.0]
                 regrets.append(vb - true_value(learned.policy, draws))
             r = np.asarray(regrets)
@@ -118,7 +118,7 @@ class TestCriterion3Improvement:
         draws, vb, vo = scenario_b_truth
         imp1, reg1, reg4 = [], [], []
         for rep in range(200):
-            ds = generate(ScenarioSpec(scenario="B", n=8000), seed=rep_seed("c3", rep))
+            ds = generate(ScenarioSpec("B"), 8000, seed=rep_seed("c3", rep))
             learned = run_learn(ds, seed=rep, multipliers=[1.0, 4.0])
             v1 = true_value(learned[1.0].policy, draws)
             v4 = true_value(learned[4.0].policy, draws)
@@ -143,7 +143,7 @@ class TestCriterion4Conservatism:
     def test_multiplier_shrinks_deviation(self):
         hits = total = 0
         for rep in range(20):
-            ds = generate(ScenarioSpec(scenario="B", n=4000), seed=rep_seed("c4", rep))
+            ds = generate(ScenarioSpec("B"), 4000, seed=rep_seed("c4", rep))
             learned = run_learn(ds, seed=rep, multipliers=[1.0, 8.0])
             for label, base_cut in ds.design.cutoffs.items():
                 d1 = abs(learned[1.0].policy.cutoffs[label] - base_cut)
@@ -200,7 +200,7 @@ class TestCriterion5BruteForceEquivalence:
 
 class TestCriterion6DoubleRobustness:
     def test_dr_component_consistent_under_single_nuisance(self):
-        spec = ScenarioSpec(scenario="A", n=8000)
+        spec = ScenarioSpec("A")
         design = spec.design
         c2 = -700.0
         policy = ThresholdPolicy({1: -850.0, 2: c2}, design)
@@ -239,7 +239,7 @@ class TestCriterion6DoubleRobustness:
         for name, (mean_fn, prop_fn) in arms.items():
             vals = []
             for rep in range(200):
-                ds = generate(spec, seed=rep_seed("c6" + name, rep))
+                ds = generate(spec, 8000, seed=rep_seed("c6" + name, rep))
                 nus = oracle_nuisances(ds, mean_fn, prop_fn)
                 scores = compute_dr_scores(ds, nus)
                 vals.append(value_breakdown(ds, policy, scores, bounds).dr)
@@ -310,7 +310,7 @@ class TestCriterion8NonparametricExactness:
 
 class TestCriterion9Determinism:
     def test_byte_identical_pipeline_outputs(self, tmp_path):
-        ds = generate(ScenarioSpec(scenario="B", n=1500), seed=33)
+        ds = generate(ScenarioSpec("B"), 1500, seed=33)
         data = tmp_path / "data.csv"
         data.write_text(serialize_dataset(ds))
         design = tmp_path / "design.yaml"

@@ -20,8 +20,8 @@ from rdsafe.simlab import ScenarioSpec, generate, regret_experiment
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
-    spec = ScenarioSpec(scenario="B", n=1200)
-    ds = generate(spec, seed=21)
+    spec = ScenarioSpec("B")
+    ds = generate(spec, 1200, seed=21)
     (d / "data.csv").write_text(serialize_dataset(ds))
     (d / "design.yaml").write_text("1: -850\n2: -571\n")
     return d
@@ -241,8 +241,12 @@ class TestRejectedBeforeFitting:
         ("multipliers: []\n", [], "needs at least one multiplier"),
         ("sizes: [1000.5]\n", [], "config value 'sizes' must be a list of integers"),
         ("seed: 0.5\n", [], "config value 'seed' must be an integer, got 0.5"),
+        # a string is not iterated as the list of its characters
+        ("scenarios: AB\n", [], "config value 'scenarios' must be a list of strings, got 'AB'"),
+        ('multipliers: "14"\n', [],
+         "config value 'multipliers' must be a list of numbers, got '14'"),
     ], ids=["size", "scenario", "no-scenarios", "no-sizes", "no-multipliers",
-            "fractional-size", "fractional-seed"])
+            "fractional-size", "fractional-seed", "text-scenarios", "text-multipliers"])
     def test_bad_simulate_settings(self, tmp_path, capsys, monkeypatch, config, flags, message):
         def draw(*args, **kwargs):
             raise AssertionError("drew a population before checking the settings")

@@ -1,7 +1,8 @@
 """Every name imported by the package modules and the tests is used, every
 top-level definition of the package is exported or used, every defaulted
-parameter of a package function is set by some call, and every package name
-the README cites exists."""
+parameter of a package function and every defaulted field of a package
+dataclass is set by some call, and every package name the README cites
+exists."""
 import ast
 import functools
 import importlib
@@ -118,14 +119,34 @@ def test_no_dead_definitions():
     assert dead_definitions(modules) == []
 
 
+def calls_by_name(callers: list) -> dict:
+    """Each called name in the `callers` sources -> its calls, whether written
+    `f(...)` or `obj.f(...)`."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets(call: ast.Call, index, name: str) -> bool:
+    """Whether `call` sets the parameter `name`, by keyword or at position
+    `index` (None for keyword-only). A call that passes *args or **kwargs
+    sets every parameter."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or (index is not None and index < len(call.args)))
+
+
 def dead_parameters(package: dict, callers: list):
     """(module, function, parameter) of each defaulted parameter of a package
     function that no call in `callers` sets, by keyword or by position.
 
     `package` maps module names to their source; `callers` lists sources. A
-    call is matched to every function of its name, whether written `f(...)`
-    or `obj.f(...)`, and a call of a class to its `__init__`. A call that
-    passes *args or **kwargs sets every parameter of the functions it matches.
+    call is matched to every function of its name, and a call of a class to
+    its `__init__`.
     """
     functions = []  # (module, qualified name, name it is called by, def node)
     for module, source in package.items():
@@ -137,12 +158,7 @@ def dead_parameters(package: dict, callers: list):
                     if isinstance(item, ast.FunctionDef):
                         called = node.name if item.name == "__init__" else item.name
                         functions.append((module, f"{node.name}.{item.name}", called, item))
-    calls = {}  # called name -> its calls
-    for source in callers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(name, []).append(node)
+    calls = calls_by_name(callers)
     dead = []
     for module, qualname, called, fn in functions:
         positional = fn.args.posonlyargs + fn.args.args
@@ -152,11 +168,8 @@ def dead_parameters(package: dict, callers: list):
                      if i >= len(positional) - len(fn.args.defaults)]
         defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                       if d is not None]
-        matching = calls.get(called, [])
         for index, name in defaulted:
-            if not any(any(isinstance(a, ast.Starred) for a in c.args)
-                       or any(k.arg in (None, name) for k in c.keywords)
-                       or (index is not None and index < len(c.args)) for c in matching):
+            if not any(sets(c, index, name) for c in calls.get(called, [])):
                 dead.append((module, qualname, name))
     return dead
 
@@ -180,6 +193,57 @@ def test_no_dead_parameters():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     callers = [p.read_text(encoding="utf-8") for p in FILES]
     assert dead_parameters(package, callers) == []
+
+
+def dead_fields(package: dict, callers: list):
+    """(module, class, field) of each defaulted field of a package dataclass
+    that no call of the class in `callers` sets, by keyword or by position.
+
+    A dataclass is a class decorated `@dataclass` or `@dataclass(...)`; its
+    fields are the annotated names of its body, in order.
+    """
+    calls = calls_by_name(callers)
+    dead = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [getattr(d, "func", d) for d in node.decorator_list]
+            if "dataclass" not in {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}:
+                continue
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            for index, item in enumerate(fields):
+                name = item.target.id
+                if item.value is not None and not any(sets(c, index, name)
+                                                      for c in calls.get(node.name, [])):
+                    dead.append((module, node.name, name))
+    return dead
+
+
+def test_dead_field_scanner():
+    package = {"a": (
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    size: int = 1\n"
+        "    noise: float = 0.3\n"
+        "    cutoffs: dict = field(default_factory=dict)\n"
+        "    def method(self, k=0):\n        pass\n"
+        "@dataclasses.dataclass\n"
+        "class Row:\n    a: int = 0\n    b: int = 1\n"
+        "@dataclass\n"
+        "class Splat:\n    c: int = 0\n"
+        "class Plain:\n    d: int = 0\n"
+    )}
+    callers = ["Spec('x', 5)\nmod.Row(b=2)\nobj.method(k=1)\n", "Splat(**options)\n"]
+    assert dead_fields(package, callers) == [
+        ("a", "Spec", "noise"), ("a", "Spec", "cutoffs"), ("a", "Row", "a")]
+
+
+def test_no_dead_fields():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    callers = [p.read_text(encoding="utf-8") for p in FILES]
+    assert dead_fields(package, callers) == []
 
 
 # backticked names ending in these are file names, not package names

@@ -157,7 +157,7 @@ class TestRecordsAtCutoffs:
                 assert (got.dr, got.xi2_worst) == (0.0, 0.0)
 
     def test_learn_runs_on_records_at_every_cutoff(self):
-        ds = self.with_ties(generate(ScenarioSpec(scenario="B", n=2000), seed=4), seed=4)
+        ds = self.with_ties(generate(ScenarioSpec("B"), 2000, seed=4), seed=4)
         learned = learn_policy(ds, LearnerConfig(seed=1))
         comps = prepare_components(ds, LearnerConfig(seed=1))
         want = value_breakdown(ds, learned.policy, comps.raw_scores, comps.bounds)
@@ -190,16 +190,16 @@ class TestSeparability:
 
 class TestLearnPolicy:
     def test_safety_invariant_and_baseline_in_tables(self):
-        spec = ScenarioSpec(scenario="B", n=1200)
-        ds = generate(spec, seed=0)
+        spec = ScenarioSpec("B")
+        ds = generate(spec, 1200, seed=0)
         learned = learn_policy(ds, LearnerConfig(seed=1))
         assert learned.breakdown.total >= learned.baseline_breakdown.total
         for rank, (cand, _) in learned.objective_tables.items():
             assert spec.design.cutoff_of_rank(rank) in cand
 
     def test_huge_multiplier_returns_baseline(self):
-        spec = ScenarioSpec(scenario="B", n=1200)
-        ds = generate(spec, seed=3)
+        spec = ScenarioSpec("B")
+        ds = generate(spec, 1200, seed=3)
         learned = learn_policy(ds, LearnerConfig(seed=1, multiplier=1e6))
         assert learned.policy.cutoffs == baseline_policy(spec.design).cutoffs
 
@@ -216,18 +216,36 @@ class TestLearnPolicy:
         assert learned.policy.cutoffs == {1: -1.0, 2: 1.0}
 
     def test_deterministic(self):
-        spec = ScenarioSpec(scenario="A", n=1000)
-        ds = generate(spec, seed=5)
+        spec = ScenarioSpec("A")
+        ds = generate(spec, 1000, seed=5)
         a = learn_policy(ds, LearnerConfig(seed=7))
         b = learn_policy(ds, LearnerConfig(seed=7))
         assert a.policy.cutoffs == b.policy.cutoffs
         assert a.breakdown.total == b.breakdown.total
 
 
+class TestAffineRunningVariable:
+    """x -> a*x + b, with the design's cutoffs mapped the same way, maps the
+    learned cutoffs: each is a baseline cutoff or an observed x, so the map
+    holds exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    def test_learned_cutoffs_follow(self, scenario, seed):
+        ds = generate(ScenarioSpec(scenario), 2000, seed=seed)
+        want = learn_policy(ds, LearnerConfig(seed=seed)).policy.cutoffs
+        for a, b in ((2.0, 0.0), (0.5, 0.0), (1.0, 300.0), (3.0, -50.0), (0.25, 1000.0)):
+            design = StudyDesign({label: a * c + b for label, c in ds.design.cutoffs.items()})
+            # the scenario's labels are its ranks
+            moved = Dataset(a * ds.x + b, ds.rank, ds.w, ds.y, design)
+            got = learn_policy(moved, LearnerConfig(seed=seed)).policy.cutoffs
+            assert got == {label: a * c + b for label, c in want.items()}, (a, b)
+
+
 @pytest.fixture(scope="module")
 def components():
-    spec = ScenarioSpec(scenario="B", n=1500)
-    ds = generate(spec, seed=10)
+    spec = ScenarioSpec("B")
+    ds = generate(spec, 1500, seed=10)
     return ds, prepare_components(ds, LearnerConfig(seed=2))
 
 

@@ -31,7 +31,7 @@ COMMANDS = {
 def inputs(tmp_path_factory):
     """The criterion-9 data: scenario B, n = 1500, seed 33."""
     d = tmp_path_factory.mktemp("trace")
-    (d / "data.csv").write_text(serialize_dataset(generate(ScenarioSpec("B", 1500), 33)))
+    (d / "data.csv").write_text(serialize_dataset(generate(ScenarioSpec("B"), 1500, 33)))
     (d / "design.yaml").write_text("1: -850\n2: -571\n")
     return ["--input", str(d / "data.csv"), "--design", str(d / "design.yaml")]
 

@@ -388,7 +388,7 @@ class TestPropensity:
         # the acceptance regret data for n=4000, replication 6, fold 1: after
         # a last gain of 1e-5 no damped step raises the log-likelihood within
         # rounding, though the Newton decrement is about 1e-13
-        ds = generate(ScenarioSpec(scenario="A", n=4000), seed=2957271786)
+        ds = generate(ScenarioSpec("A"), 4000, seed=2957271786)
         train = make_folds(ds, 5, seed=6).fold_of != 1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
