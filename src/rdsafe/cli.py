@@ -28,12 +28,7 @@ from .core import (
     baseline_policy,
     load_dataset,
 )
-from .learner import (
-    LearnerConfig,
-    learn_from_components,
-    prepare_components,
-    sensitivity_sweep,
-)
+from .learner import LearnerConfig, learn_policy, sensitivity_sweep
 from .simlab import regret_experiment
 
 EXIT_OK = 0
@@ -124,8 +119,6 @@ def _learner_config(cfg: dict) -> LearnerConfig:
         n_folds=_setting(cfg, "folds", 5, int),
         seed=_setting(cfg, "seed", 0, int),
         grid_mode=str(cfg.get("grid", "observed")),
-        multiplier=_setting(cfg, "multiplier", 1.0, float),
-        cost=_setting(cfg, "cost", 0.0, float),
         clamp_eps=_setting(cfg, "clamp", 0.01, float),
     )
 
@@ -159,9 +152,9 @@ def _breakdown_dict(b) -> dict:
 def cmd_learn(cfg: dict) -> int:
     design = _load_design(cfg["design"])
     dataset = load_dataset(cfg["input"], design)
-    lcfg = _learner_config(cfg)
-    components = prepare_components(dataset, lcfg)
-    learned = learn_from_components(components, multiplier=lcfg.multiplier, cost=lcfg.cost)
+    learned = learn_policy(dataset, _learner_config(cfg),
+                           multiplier=_setting(cfg, "multiplier", 1.0, float),
+                           cost=_setting(cfg, "cost", 0.0, float))
     base = baseline_policy(design)
     result = {
         "provenance": _provenance(cfg),
@@ -175,11 +168,11 @@ def cmd_learn(cfg: dict) -> int:
             "gain": learned.objective_gain,
         },
         "diagnostics": {
-            "multiplier": learned.diagnostics["multiplier"],
-            "cost": learned.diagnostics["cost"],
+            "multiplier": learned.bounds.multiplier,
+            "cost": learned.cost,
             "lambda_base": {f"w={w},g={g},g'={gp}": v for (w, g, gp), v
-                            in learned.diagnostics["lambda_base"].items()},
-            "lipschitz_width": learned.diagnostics["lipschitz_width"],
+                            in learned.bounds.lam.items()},
+            "lipschitz_width": learned.lipschitz_width,
         },
     }
     out = cfg["out"]

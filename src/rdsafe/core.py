@@ -38,6 +38,10 @@ class EstimationError(RdsafeError, RuntimeError):
     """An estimation step could not be carried out on the given data."""
 
 
+# default least number of records per group of a `Dataset`
+MIN_GROUP_SIZE = 30
+
+
 def _check_finite(value, what, row=None):
     if not math.isfinite(value):
         loc = f" (row {row})" if row is not None else ""
@@ -135,7 +139,7 @@ class Dataset:
     first failed check.
     """
 
-    def __init__(self, x, g, w, y, design: StudyDesign, min_group_size: int = 30):
+    def __init__(self, x, g, w, y, design: StudyDesign, min_group_size: int = MIN_GROUP_SIZE):
         x = np.array(x, dtype=float)
         y = np.array(y, dtype=float)
         w = np.asarray(w)
@@ -251,7 +255,8 @@ def _match_group(raw: str, design: StudyDesign, row: int | None):
     raise DesignError(f"row {row}: unknown group {raw!r}; design groups are {list(design.groups)}")
 
 
-def load_dataset(source, design: StudyDesign, min_group_size: int = 30) -> Dataset:
+def load_dataset(source, design: StudyDesign,
+                 min_group_size: int = MIN_GROUP_SIZE) -> Dataset:
     """Parse comma-separated text with header columns x, g, w, y.
 
     `source` is a path or a text or binary stream; a file opened from a path

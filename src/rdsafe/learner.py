@@ -46,9 +46,6 @@ class CandidateGrid:
 
     by_rank: dict  # rank -> np.ndarray of candidates
 
-    def for_rank(self, rank: int) -> np.ndarray:
-        return self.by_rank[rank]
-
 
 def candidate_grid(dataset: Dataset, mode: str) -> CandidateGrid:
     """Candidate cutoffs inside [c_1, c_Q] of the dataset's design.
@@ -197,17 +194,15 @@ def _pick(candidates: np.ndarray, values: np.ndarray, baseline_cut: float) -> fl
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    """Fit settings; M and C are search arguments."""
+
     n_folds: int = 5
     seed: int = 0
     grid_mode: str = "observed"
-    multiplier: float = 1.0
-    cost: float = 0.0
     clamp_eps: float = 0.01
 
     def __post_init__(self):
         _uniform_size(self.grid_mode)
-        _check_multiplier(self.multiplier)
-        _check_cost(self.cost)
         _check_n_folds(self.n_folds)
 
 
@@ -217,8 +212,9 @@ class LearnedPolicy:
     breakdown: ValueBreakdown
     baseline_breakdown: ValueBreakdown
     objective_tables: dict  # rank -> (candidates, objective values)
-    bounds: BoundModel  # the envelopes the search maximized under
-    diagnostics: dict
+    bounds: BoundModel  # the envelopes the search maximized under, at its M
+    cost: float
+    lipschitz_width: float  # see `_lipschitz_diagnostic`
 
     @property
     def objective_gain(self) -> float:
@@ -227,11 +223,10 @@ class LearnedPolicy:
 
 @dataclass(frozen=True)
 class PipelineComponents:
-    """Policy-independent pieces fitted once per dataset: the DR scores on the
-    raw outcome (a treatment cost is applied by `_record_contributions`), the
-    bound envelopes at M = 1 (multipliers are applied by
-    `BoundModel.with_multiplier`), the candidate grid and the stable sort
-    order of x."""
+    """Pieces fitted once per dataset, before any M or C is known: the DR
+    scores on the raw outcome, the bound envelopes at M = 1, the candidate
+    grid and the stable sort order of x. `learn_from_components` applies M
+    (by `BoundModel.with_multiplier`) and C (in `_record_contributions`)."""
 
     dataset: Dataset
     order: np.ndarray
@@ -267,7 +262,8 @@ def _lipschitz_diagnostic(dataset: Dataset, bounds: BoundModel) -> float:
 def learn_from_components(components: PipelineComponents,
                           multiplier: float = 1.0,
                           cost: float = 0.0) -> LearnedPolicy:
-    """Grid search on prefitted components; only M and C vary per call."""
+    """Grid search on prefitted components at smoothness multiplier M and
+    treatment cost C, the only inputs that vary per call."""
     _check_cost(cost)
     dataset = components.dataset
     design = dataset.design
@@ -278,7 +274,7 @@ def learn_from_components(components: PipelineComponents,
     acc = np.zeros((3, n))
     for rank in range(1, design.q + 1):
         a, b = _record_contributions(dataset, rank, components.raw_scores, bounds, cost)
-        cand = components.grid.for_rank(rank)
+        cand = components.grid.by_rank[rank]
         vals = _candidate_values(dataset, a, b, components.order, cand)
         cut = _pick(cand, vals, design.cutoff_of_rank(rank))
         cutoffs[design.label_of(rank)] = cut
@@ -292,21 +288,19 @@ def learn_from_components(components: PipelineComponents,
         baseline_breakdown=ValueBreakdown(iden, 0.0, 0.0),
         objective_tables=tables,
         bounds=bounds,
-        diagnostics={
-            "multiplier": multiplier,
-            "cost": cost,
-            "lambda_base": dict(components.bounds.lam),
-            "lipschitz_width": _lipschitz_diagnostic(dataset, bounds),
-        },
+        cost=cost,
+        lipschitz_width=_lipschitz_diagnostic(dataset, bounds),
     )
 
 
-def learn_policy(dataset: Dataset, config: LearnerConfig | None = None) -> LearnedPolicy:
+def learn_policy(dataset: Dataset, config: LearnerConfig | None = None,
+                 multiplier: float = 1.0, cost: float = 0.0) -> LearnedPolicy:
     """Full pipeline: cross-fit nuisances, bound the unidentified differences,
-    and maximize the worst-case objective group by group."""
-    config = config or LearnerConfig()
+    and maximize the worst-case objective group by group at M and C."""
+    _check_multiplier(multiplier)
+    _check_cost(cost)
     components = prepare_components(dataset, config)
-    return learn_from_components(components, multiplier=config.multiplier, cost=config.cost)
+    return learn_from_components(components, multiplier=multiplier, cost=cost)
 
 
 @dataclass(frozen=True)
@@ -321,8 +315,7 @@ class SweepRow:
 
 
 def sensitivity_sweep(dataset: Dataset, multipliers, costs,
-                      config: LearnerConfig | None = None,
-                      components: PipelineComponents | None = None):
+                      config: LearnerConfig | None = None):
     """Relearn the policy for every (M, C) cell, reusing one set of DR scores
     and bound envelopes. Rows are ordered by group rank, then the position of
     M and C in the input lists."""
@@ -334,8 +327,7 @@ def sensitivity_sweep(dataset: Dataset, multipliers, costs,
         _check_multiplier(m)
     for c in costs:
         _check_cost(c)
-    if components is None:
-        components = prepare_components(dataset, config or LearnerConfig())
+    components = prepare_components(dataset, config)
     design = dataset.design
     rows = []
     cells = {}

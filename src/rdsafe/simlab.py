@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataError, Dataset, RdsafeError, StudyDesign, ThresholdPolicy, baseline_policy
+from .core import (MIN_GROUP_SIZE, DataError, Dataset, RdsafeError, StudyDesign,
+                   ThresholdPolicy, baseline_policy)
 from .idbounds import _check_multiplier
 from .learner import LearnerConfig, _pick, _suffix_at, learn_policy
 
@@ -207,11 +208,12 @@ def _mean_se(values) -> tuple[float, float]:
 def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                       mc_size: int = 500_000) -> list[RegretCell]:
     """Monte Carlo regret of the learned policy against baseline and oracle,
-    one cell per (scenario, n, M).
+    one cell per (scenario, n, M), with the truth taken on `mc_size` draws.
 
-    Replications that fail with a package error or a singular linear solve
-    are excluded and counted. Any other exception propagates. Deterministic
-    given the master seed.
+    A size too small for MIN_GROUP_SIZE records per group is a DataError.
+    Replications that fail with a package error or a singular linear solve,
+    as a larger size can by chance, are excluded and counted. Any other
+    exception propagates. Deterministic given the master seed.
     """
     if reps < 2:
         raise DataError(f"need at least 2 replications, got {reps}")
@@ -227,6 +229,11 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
     specs = [ScenarioSpec(scenario) for scenario in scenarios]
     for n in n_list:
         _check_size(n)
+        if n < len(_CUTOFFS) * MIN_GROUP_SIZE:
+            raise DataError(f"sample size {n} is below {len(_CUTOFFS) * MIN_GROUP_SIZE}: "
+                            f"{MIN_GROUP_SIZE} records for each of {len(_CUTOFFS)} groups")
+    if mc_size < 1:
+        raise DataError(f"Monte Carlo population size must be positive, got {mc_size}")
     cells = []
     for spec in specs:
         # the ground truth depends on the scenario, not on n or M
@@ -242,8 +249,8 @@ def regret_experiment(scenarios, n_list, multipliers, reps: int, seed: int,
                     child = ss.generate_state(2)
                     try:
                         data = generate(spec, n, ss)
-                        learned = learn_policy(data, LearnerConfig(
-                            seed=int(child[0] % 2**31), multiplier=float(m)))
+                        learned = learn_policy(data, LearnerConfig(seed=int(child[0] % 2**31)),
+                                               multiplier=float(m))
                         v_hat = true_value(learned.policy, draws)
                     except (RdsafeError, np.linalg.LinAlgError):
                         failures += 1

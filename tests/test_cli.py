@@ -198,14 +198,21 @@ class TestRejectedBeforeFitting:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("config, message", [
-        ("cost: abc\n", "config value 'cost' must be a number, got 'abc'"),
-        ("clamp: [0.1]\n", "config value 'clamp' must be a number, got [0.1]"),
-        ("folds: 2.7\n", "config value 'folds' must be an integer, got 2.7"),
-        ("folds: two\n", "config value 'folds' must be an integer, got 'two'"),
-        ("seed: 1.5\n", "config value 'seed' must be an integer, got 1.5"),
-    ], ids=["cost", "clamp", "fractional-folds", "text-folds", "seed"])
-    @pytest.mark.parametrize("command", ["learn", "sensitivity"])
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param(command, config, message, id=f"{command}-{name}")
+        for command in ("learn", "sensitivity")
+        for name, config, message in [
+            ("cost", "cost: abc\n", "config value 'cost' must be a number, got 'abc'"),
+            ("clamp", "clamp: [0.1]\n", "config value 'clamp' must be a number, got [0.1]"),
+            ("fractional-folds", "folds: 2.7\n",
+             "config value 'folds' must be an integer, got 2.7"),
+            ("text-folds", "folds: two\n", "config value 'folds' must be an integer, got 'two'"),
+            ("seed", "seed: 1.5\n", "config value 'seed' must be an integer, got 1.5"),
+        ]
+        # `sensitivity` reads the list `costs`, not the scalar `cost` (see
+        # test_bad_sweep_lists_in_config)
+        if (command, name) != ("sensitivity", "cost")
+    ])
     def test_bad_config_value_names_its_key(self, workdir, tmp_path, capsys, command, config,
                                             message):
         (tmp_path / "run.yaml").write_text(config)
@@ -234,6 +241,8 @@ class TestRejectedBeforeFitting:
 
     @pytest.mark.parametrize("config, flags, message", [
         ("", ["--sizes", "1000", "0"], "sample size must be positive"),
+        # too small for 30 records in each of the two groups: no replication could finish
+        ("", ["--sizes", "1000", "40"], "sample size 40 is below 60"),
         # a config file can name a scenario that argparse's choices never see
         ("scenarios: [A, C]\n", [], "scenario must be"),
         ("scenarios: []\n", [], "needs at least one scenario"),
@@ -245,7 +254,7 @@ class TestRejectedBeforeFitting:
         ("scenarios: AB\n", [], "config value 'scenarios' must be a list of strings, got 'AB'"),
         ('multipliers: "14"\n', [],
          "config value 'multipliers' must be a list of numbers, got '14'"),
-    ], ids=["size", "scenario", "no-scenarios", "no-sizes", "no-multipliers",
+    ], ids=["size", "small-size", "scenario", "no-scenarios", "no-sizes", "no-multipliers",
             "fractional-size", "fractional-seed", "text-scenarios", "text-multipliers"])
     def test_bad_simulate_settings(self, tmp_path, capsys, monkeypatch, config, flags, message):
         def draw(*args, **kwargs):
@@ -333,7 +342,7 @@ class TestResultFiles:
         assert main(["learn", "--input", str(workdir / "data.csv"),
                      "--design", str(workdir / "design.yaml"), "--out", str(out),
                      "--seed", "6", "--cost", "0.3"]) == 0
-        learned = learn_policy(dataset, LearnerConfig(seed=6, cost=0.3))
+        learned = learn_policy(dataset, LearnerConfig(seed=6), cost=0.3)
         design = dataset.design
         curves = [(design.label_of(rank), c, v)
                   for rank, (cand, vals) in sorted(learned.objective_tables.items())

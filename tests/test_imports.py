@@ -1,8 +1,8 @@
 """Every name imported by the package modules and the tests is used, every
 top-level definition of the package is exported or used, every defaulted
 parameter of a package function and every defaulted field of a package
-dataclass is set by some call, and every package name the README cites
-exists."""
+dataclass is set by some call, every package name the README cites exists,
+and the README's library quickstart runs and imports only what it uses."""
 import ast
 import functools
 import importlib
@@ -278,3 +278,16 @@ def test_readme_names_resolve():
         except AttributeError:
             missing.append(ref)
     assert missing == []
+
+
+def quickstart(text: str) -> str:
+    """The first Python block under the "Library quickstart" heading."""
+    section = text.split("\n## Library quickstart\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quickstart_runs(capsys):
+    code = quickstart((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert unused_imports(code) == []
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert capsys.readouterr().out

@@ -47,17 +47,17 @@ class TestCandidateGrid:
         ds = Dataset(*zip(*recs), design, min_group_size=1)
         grid = candidate_grid(ds, "observed")
         for rank in (1, 2):
-            assert list(grid.for_rank(rank)) == [0.0, 0.2, 0.7, 1.0]
+            assert list(grid.by_rank[rank]) == [0.0, 0.2, 0.7, 1.0]
 
     def test_uniform_mode(self):
         design = StudyDesign({1: 0.0, 2: 1.0})
         grid = candidate_grid(one_record_per_group(design), "uniform:3")
-        assert list(grid.for_rank(1)) == [0.0, 0.5, 1.0]
+        assert list(grid.by_rank[1]) == [0.0, 0.5, 1.0]
 
     def test_baseline_always_in_grid(self):
         design = StudyDesign({1: 0.0, 2: 0.37, 3: 1.0})
         grid = candidate_grid(one_record_per_group(design), "uniform:4")
-        assert 0.37 in grid.for_rank(2)
+        assert 0.37 in grid.by_rank[2]
 
     def test_bad_mode(self):
         ds = one_record_per_group(StudyDesign({1: 0.0, 2: 1.0}))
@@ -200,7 +200,7 @@ class TestLearnPolicy:
     def test_huge_multiplier_returns_baseline(self):
         spec = ScenarioSpec("B")
         ds = generate(spec, 1200, seed=3)
-        learned = learn_policy(ds, LearnerConfig(seed=1, multiplier=1e6))
+        learned = learn_policy(ds, LearnerConfig(seed=1), multiplier=1e6)
         assert learned.policy.cutoffs == baseline_policy(spec.design).cutoffs
 
     def test_identical_outcomes_tie_break_to_baseline(self):
@@ -252,28 +252,28 @@ def components():
 class TestSensitivitySweep:
 
     def test_row_ordering_and_shape(self, components):
-        ds, comps = components
-        rows = sensitivity_sweep(ds, [1.0, 0.0], [0.5, 0.0], components=comps)
+        ds, _ = components
+        rows = sensitivity_sweep(ds, [1.0, 0.0], [0.5, 0.0], LearnerConfig(seed=2))
         assert len(rows) == 2 * 2 * 2
         assert [r.group for r in rows] == [1, 1, 1, 1, 2, 2, 2, 2]
         assert [r.multiplier for r in rows[:4]] == [1.0, 1.0, 0.0, 0.0]
 
     def test_duplicate_multipliers_identical_rows(self, components):
-        ds, comps = components
-        rows = sensitivity_sweep(ds, [1.0, 1.0], [0.0], components=comps)
+        ds, _ = components
+        rows = sensitivity_sweep(ds, [1.0, 1.0], [0.0], LearnerConfig(seed=2))
         assert rows[0] == rows[1] and rows[2] == rows[3]
 
     def test_empty_lists_rejected(self, components):
-        ds, comps = components
+        ds, _ = components
         with pytest.raises(DataError, match="at least one multiplier and one cost"):
-            sensitivity_sweep(ds, [], [0.0], components=comps)
+            sensitivity_sweep(ds, [], [0.0], LearnerConfig(seed=2))
         with pytest.raises(DataError, match="at least one multiplier and one cost"):
-            sensitivity_sweep(ds, [1.0], [], components=comps)
+            sensitivity_sweep(ds, [1.0], [], LearnerConfig(seed=2))
 
     def test_reuse_matches_full_learn(self, components):
         ds, comps = components
         via_sweep = learn_from_components(comps, multiplier=1.0, cost=0.0)
-        direct = learn_policy(ds, LearnerConfig(seed=2, multiplier=1.0))
+        direct = learn_policy(ds, LearnerConfig(seed=2), multiplier=1.0)
         assert via_sweep.policy.cutoffs == direct.policy.cutoffs
         assert via_sweep.breakdown.total == pytest.approx(direct.breakdown.total)
 
@@ -304,20 +304,23 @@ class TestConfigChecks:
 
     @pytest.mark.parametrize("m", [-1.0, -1e-300, np.inf, np.nan])
     def test_bad_multiplier_rejected(self, m, three_groups, monkeypatch):
-        with pytest.raises(DataError, match="finite and nonnegative"):
-            LearnerConfig(multiplier=m)
-
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before checking the multipliers")
 
         monkeypatch.setattr(learner, "prepare_components", no_fit)
         with pytest.raises(DataError, match="finite and nonnegative"):
+            learn_policy(three_groups, multiplier=m)
+        with pytest.raises(DataError, match="finite and nonnegative"):
             sensitivity_sweep(three_groups, [1.0, m], [0.0])
 
     @pytest.mark.parametrize("c", [-0.1, np.nan, np.inf])
-    def test_bad_cost_rejected_by_config(self, c):
+    def test_bad_cost_rejected_by_learn_policy(self, c, three_groups, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the cost")
+
+        monkeypatch.setattr(learner, "prepare_components", no_fit)
         with pytest.raises(DataError, match="treatment cost"):
-            LearnerConfig(cost=c)
+            learn_policy(three_groups, cost=c)
 
     @pytest.mark.parametrize("c", [-1.0, np.nan, np.inf])
     def test_bad_cost_rejected_before_fitting(self, c, three_groups, monkeypatch):
@@ -372,13 +375,15 @@ class TestOneBoundModelPerDataset:
         for m in (0.0, 1.0, 2.5):
             for c in (0.0, 0.4):
                 got = learn_from_components(comps, multiplier=m, cost=c)
-                want = learn_policy(three_groups, LearnerConfig(seed=3, multiplier=m, cost=c))
+                want = learn_policy(three_groups, LearnerConfig(seed=3), multiplier=m, cost=c)
                 assert got.policy.cutoffs == want.policy.cutoffs
                 for field in ("iden", "dr", "xi2_worst"):
                     assert getattr(got.breakdown, field) == getattr(want.breakdown, field)
                     assert (getattr(got.baseline_breakdown, field)
                             == getattr(want.baseline_breakdown, field))
-                assert got.diagnostics == want.diagnostics
+                assert got.bounds.multiplier == want.bounds.multiplier
+                assert got.bounds.lam == want.bounds.lam
+                assert (got.cost, got.lipschitz_width) == (want.cost, want.lipschitz_width)
                 assert got.objective_tables.keys() == want.objective_tables.keys()
                 for rank, (cand, vals) in want.objective_tables.items():
                     assert np.array_equal(got.objective_tables[rank][0], cand)

@@ -276,17 +276,26 @@ class TestRegretExperiment:
         with pytest.raises(DataError, match="at least 2 replications"):
             regret_experiment(["A"], [100], [1.0], reps=1, seed=0)
 
-    @pytest.mark.parametrize("scenarios, sizes, message", [
-        (["A", "B"], [400, 0], "sample size must be positive"),
-        (["A", "C"], [400], "scenario must be"),
-    ], ids=["size", "scenario"])
-    def test_bad_specs_rejected_before_drawing(self, monkeypatch, scenarios, sizes, message):
+    @pytest.mark.parametrize("scenarios, sizes, mc_size, message", [
+        (["A", "B"], [400, 0], 1_000, "sample size must be positive"),
+        (["A", "C"], [400], 1_000, "scenario must be"),
+        (["A", "B"], [400, 59], 1_000,
+         "sample size 59 is below 60: 30 records for each of 2 groups"),
+        (["A"], [400], 0, "Monte Carlo population size must be positive, got 0"),
+    ], ids=["size", "scenario", "small-size", "empty-population"])
+    def test_bad_specs_rejected_before_drawing(self, monkeypatch, scenarios, sizes, mc_size,
+                                               message):
         def draw(*args, **kwargs):
             raise AssertionError("drew a population before checking the specs")
 
         monkeypatch.setattr(simlab, "draw_population", draw)
         with pytest.raises(DataError, match=message):
-            regret_experiment(scenarios, sizes, [1.0], reps=2, seed=0, mc_size=1_000)
+            regret_experiment(scenarios, sizes, [1.0], reps=2, seed=0, mc_size=mc_size)
+
+    def test_size_at_the_minimum_counts_chance_failures(self):
+        # 60 records can hold 30 per group, but at seed 0 every draw leaves one short
+        [cell] = regret_experiment(["A"], [60], [1.0], reps=2, seed=0, mc_size=1_000)
+        assert (cell.reps, cell.failures) == (0, 2)
 
     @pytest.mark.parametrize("scenarios, sizes, multipliers, what", [
         ([], [400], [1.0], "scenario"),
@@ -304,7 +313,7 @@ class TestRegretExperiment:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only estimation failures count as failed replications
-        def broken(data, config):
+        def broken(data, config, multiplier):
             raise TypeError("bug inside a replication")
 
         monkeypatch.setattr(simlab, "learn_policy", broken)
