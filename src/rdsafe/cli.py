@@ -1,10 +1,13 @@
 """Command-line front end: learn, simulate, sensitivity, validate.
 
-Configuration comes from an optional YAML file plus flags; flags win. The
-library returns data; this module alone writes the result files. All of them
-are written atomically (temp file + rename) and embed the seed and a hash of
-the effective configuration, so a failed run leaves nothing behind and a
-finished one is traceable.
+Configuration comes from an optional YAML file plus flags; flags win. Each
+setting is declared once, in `SETTINGS`, and `COMMANDS` lists the settings
+each command reads; a config key that the command does not read is an error,
+and every setting is typed before any fit, draw or write. The library returns
+data; this module alone writes the result files. All of them are written
+atomically (temp file + rename) and embed the seed and a hash of the
+effective configuration, so a failed run leaves nothing behind and a finished
+one is traceable.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ def _atomic_write(path: str, content: str):
 
 def _config_hash(cfg: dict) -> str:
     # hash only computation-relevant keys, not where results are written
-    slim = {k: v for k, v in cfg.items() if k not in ("out", "command")}
+    slim = {k: v for k, v in cfg.items() if k != "out"}
     blob = json.dumps(slim, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -80,15 +83,6 @@ def _load_config_file(path: str) -> dict:
     return loaded
 
 
-def _merged_config(args, file_cfg: dict) -> dict:
-    cfg = dict(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("func", "config") or value is None:
-            continue
-        cfg[key] = value
-    return cfg
-
-
 _KINDS = {int: ("an integer", "a list of integers"), float: ("a number", "a list of numbers"),
           str: ("a string", "a list of strings")}
 
@@ -96,13 +90,16 @@ _KINDS = {int: ("an integer", "a list of integers"), float: ("a number", "a list
 def _convert(kind, value):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError("int() would truncate it")
+    if kind is str and not isinstance(value, str):  # open(7) would read file descriptor 7
+        raise TypeError
     return kind(value)
 
 
-def _setting(cfg: dict, key: str, default, kind):
-    """cfg[key], or the default, as a `kind` (int, float or str), or as a list
-    of them exactly when the default is a list. A value that does not convert
-    is a DataError naming its key; the library checks the ranges."""
+def _setting(cfg: dict, key: str):
+    """cfg[key], or its default, as its kind, or as a list of them exactly
+    when the default is a list. A value that does not convert is a DataError
+    naming its key; the library checks the ranges."""
+    kind, default, _ = SETTINGS[key]
     value = cfg.get(key, default)
     many = isinstance(default, list)
     try:
@@ -114,27 +111,18 @@ def _setting(cfg: dict, key: str, default, kind):
                         f"got {value!r}") from None
 
 
-def _learner_config(cfg: dict) -> LearnerConfig:
-    return LearnerConfig(
-        n_folds=_setting(cfg, "folds", 5, int),
-        seed=_setting(cfg, "seed", 0, int),
-        grid_mode=str(cfg.get("grid", "observed")),
-        clamp_eps=_setting(cfg, "clamp", 0.01, float),
-    )
+def _learner_config(s: dict) -> LearnerConfig:
+    return LearnerConfig(n_folds=s["folds"], seed=s["seed"], grid_mode=s["grid"],
+                         clamp_eps=s["clamp"])
 
 
-def _provenance(cfg: dict) -> dict:
-    return {"config_hash": _config_hash(cfg), "seed": _setting(cfg, "seed", 0, int)}
-
-
-def _write_csv(path: str, cfg: dict, header, rows):
+def _write_csv(path: str, provenance: dict, header, rows):
     """A result CSV: the provenance line, the header, then one line per row.
 
     `csv` writes Python floats with `repr`, so every value round-trips.
     """
-    prov = _provenance(cfg)
     out = io.StringIO()
-    out.write(f"# config_hash={prov['config_hash']} seed={prov['seed']}\n")
+    out.write(f"# config_hash={provenance['config_hash']} seed={provenance['seed']}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -149,15 +137,14 @@ def _breakdown_dict(b) -> dict:
     return {"iden": b.iden, "dr": b.dr, "xi2_worst": b.xi2_worst, "total": b.total}
 
 
-def cmd_learn(cfg: dict) -> int:
-    design = _load_design(cfg["design"])
-    dataset = load_dataset(cfg["input"], design)
-    learned = learn_policy(dataset, _learner_config(cfg),
-                           multiplier=_setting(cfg, "multiplier", 1.0, float),
-                           cost=_setting(cfg, "cost", 0.0, float))
+def cmd_learn(s: dict, provenance: dict) -> int:
+    design = _load_design(s["design"])
+    dataset = load_dataset(s["input"], design)
+    learned = learn_policy(dataset, _learner_config(s), multiplier=s["multiplier"],
+                           cost=s["cost"])
     base = baseline_policy(design)
     result = {
-        "provenance": _provenance(cfg),
+        "provenance": provenance,
         "learned_cutoffs": {str(k): v for k, v in learned.policy.cutoffs.items()},
         "baseline_cutoffs": {str(k): v for k, v in base.cutoffs.items()},
         "changes": {str(k): learned.policy.cutoffs[k] - base.cutoffs[k]
@@ -175,14 +162,14 @@ def cmd_learn(cfg: dict) -> int:
             "lipschitz_width": learned.lipschitz_width,
         },
     }
-    out = cfg["out"]
+    out = s["out"]
     _write_json(os.path.join(out, "learned_policy.json"), result)
     curves = []
     for rank in sorted(learned.objective_tables):
         label = design.label_of(rank)
         cand, vals = learned.objective_tables[rank]
         curves += [(label, c, v) for c, v in zip(cand.tolist(), vals.tolist())]
-    _write_csv(os.path.join(out, "objective_curves.csv"), cfg,
+    _write_csv(os.path.join(out, "objective_curves.csv"), provenance,
                ["group", "candidate", "objective"], curves)
     bounds = learned.bounds
     xs = np.linspace(design.c_min, design.c_max, BOUND_GRID_SIZE)
@@ -193,23 +180,18 @@ def cmd_learn(cfg: dict) -> int:
         hi = bounds.upper(w, xs, g_col, gp_col).tolist()
         envelopes += [(w, design.label_of(g), design.label_of(gp), *row)
                       for row in zip(xs.tolist(), lo, hi)]
-    _write_csv(os.path.join(out, "bound_curves.csv"), cfg,
+    _write_csv(os.path.join(out, "bound_curves.csv"), provenance,
                ["w", "g", "g_ref", "x", "b_lower", "b_upper"], envelopes)
     print(f"learned policy written to {out} "
           f"(objective gain {learned.objective_gain:.6g})")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict) -> int:
-    cells = regret_experiment(
-        scenarios=_setting(cfg, "scenarios", ["A"], str),
-        n_list=_setting(cfg, "sizes", [1000], int),
-        multipliers=_setting(cfg, "multipliers", [1.0], float),
-        reps=_setting(cfg, "reps", 10, int),
-        seed=_setting(cfg, "seed", 0, int),
-    )
-    out = cfg["out"]
-    _write_csv(os.path.join(out, "regret.csv"), cfg,
+def cmd_simulate(s: dict, provenance: dict) -> int:
+    cells = regret_experiment(s["scenarios"], s["sizes"], s["multipliers"], reps=s["reps"],
+                              seed=s["seed"])
+    out = s["out"]
+    _write_csv(os.path.join(out, "regret.csv"), provenance,
                ["scenario", "n", "M", "regret_baseline_mean", "regret_baseline_se",
                 "regret_oracle_mean", "regret_oracle_se", "reps", "failures"],
                [(c.scenario, c.n, c.multiplier, c.regret_baseline_mean,
@@ -217,18 +199,17 @@ def cmd_simulate(cfg: dict) -> int:
                  c.reps, c.failures) for c in cells])
     # replication seeds derive from the master seed through numpy's PCG64
     _write_json(os.path.join(out, "regret_meta.json"),
-                {"generator": "PCG64", "version": 1, **_provenance(cfg)})
+                {"generator": "PCG64", "version": 1, **provenance})
     print(f"regret report written to {out} ({len(cells)} cells)")
     return EXIT_OK
 
 
-def cmd_sensitivity(cfg: dict) -> int:
-    design = _load_design(cfg["design"])
-    dataset = load_dataset(cfg["input"], design)
-    rows = sensitivity_sweep(dataset, _setting(cfg, "multipliers", [1.0], float),
-                             _setting(cfg, "costs", [0.0], float), _learner_config(cfg))
-    out = cfg["out"]
-    _write_csv(os.path.join(out, "sweep.csv"), cfg,
+def cmd_sensitivity(s: dict, provenance: dict) -> int:
+    design = _load_design(s["design"])
+    dataset = load_dataset(s["input"], design)
+    rows = sensitivity_sweep(dataset, s["multipliers"], s["costs"], _learner_config(s))
+    out = s["out"]
+    _write_csv(os.path.join(out, "sweep.csv"), provenance,
                ["group", "M", "C", "baseline_cutoff", "learned_cutoff", "change",
                 "objective_gain"],
                [(r.group, r.multiplier, r.cost, r.baseline_cutoff, r.learned_cutoff,
@@ -237,9 +218,10 @@ def cmd_sensitivity(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: dict) -> int:
-    design = _load_design(cfg["design"])
-    dataset = load_dataset(cfg["input"], design)
+def cmd_validate(s: dict, provenance: dict) -> int:
+    # writes nothing, so it has no use for the provenance
+    design = _load_design(s["design"])
+    dataset = load_dataset(s["input"], design)
     counts = {str(label): int((dataset.rank == design.rank_of(label)).sum())
               for label in design.groups}
     print(f"ok: {len(dataset)} records, {design.q} groups {counts}, "
@@ -247,15 +229,38 @@ def cmd_validate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML config file; flags override its keys")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--out", help="output directory")
+_FIT = LearnerConfig()
 
+# key -> (kind, default, help). A setting takes a list exactly when its
+# default is a list; one without a default must be given.
+SETTINGS = {
+    "input": (str, None, "CSV data file with columns x,g,w,y"),
+    "design": (str, None, "YAML mapping of group label to baseline cutoff"),
+    "out": (str, None, "output directory"),
+    "seed": (int, _FIT.seed, "random seed"),
+    "folds": (int, _FIT.n_folds, "cross-fitting folds"),
+    "grid": (str, _FIT.grid_mode, "candidate grid: observed | uniform:N"),
+    "multiplier": (float, 1.0, "smoothness multiplier M"),
+    "cost": (float, 0.0, "treatment cost C"),
+    "multipliers": (float, [1.0], "smoothness multipliers M"),
+    "costs": (float, [0.0], "treatment costs C"),
+    "clamp": (float, _FIT.clamp_eps, "propensity clamp epsilon"),
+    "scenarios": (str, ["A"], "synthetic scenarios"),
+    "sizes": (int, [1000], "sample sizes"),
+    "reps": (int, 10, "replications per cell (>= 2)"),
+}
 
-def _add_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--input", help="CSV data file with columns x,g,w,y")
-    p.add_argument("--design", help="YAML mapping of group label to baseline cutoff")
+# command -> (help, function, the settings it reads)
+COMMANDS = {
+    "learn": ("learn a safe threshold policy from data", cmd_learn,
+              ("input", "design", "out", "seed", "folds", "grid", "multiplier", "cost", "clamp")),
+    "simulate": ("run Monte Carlo regret experiments", cmd_simulate,
+                 ("out", "seed", "scenarios", "sizes", "multipliers", "reps")),
+    "sensitivity": ("sweep smoothness multipliers and treatment costs", cmd_sensitivity,
+                    ("input", "design", "out", "seed", "folds", "grid", "multipliers", "costs",
+                     "clamp")),
+    "validate": ("parse and check data against a design", cmd_validate, ("input", "design")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,55 +270,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "regression discontinuity data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("learn", help="learn a safe threshold policy from data")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--folds", type=int, help="cross-fitting folds (default 5)")
-    p.add_argument("--grid", help="candidate grid: observed | uniform:N")
-    p.add_argument("--multiplier", type=float, help="smoothness multiplier M")
-    p.add_argument("--cost", type=float, help="treatment cost C")
-    p.add_argument("--clamp", type=float, help="propensity clamp epsilon")
-    p.set_defaults(func=cmd_learn)
-
-    p = sub.add_parser("simulate", help="run Monte Carlo regret experiments")
-    _add_common(p)
-    p.add_argument("--scenarios", nargs="+", choices=["A", "B"])
-    p.add_argument("--sizes", nargs="+", type=int, help="sample sizes")
-    p.add_argument("--multipliers", nargs="+", type=float)
-    p.add_argument("--reps", type=int, help="replications per cell (>= 2)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sensitivity",
-                       help="sweep smoothness multipliers and treatment costs")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--grid", help="candidate grid: observed | uniform:N")
-    p.add_argument("--multipliers", nargs="+", type=float)
-    p.add_argument("--costs", nargs="+", type=float)
-    p.add_argument("--clamp", type=float)
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("validate", help="parse and check data against a design")
-    _add_common(p)
-    _add_data_flags(p)
-    p.set_defaults(func=cmd_validate)
-
+    for command, (summary, _, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="YAML config file; flags override its keys")
+        for key in keys:
+            kind, default, text = SETTINGS[key]
+            note = "required" if default is None else f"default {default}"
+            p.add_argument(f"--{key}", type=kind, nargs="+" if isinstance(default, list) else None,
+                           help=f"{text} ({note})")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _, func, keys = COMMANDS[args.command]
     try:
-        file_cfg = _load_config_file(args.config) if args.config else {}
-        for req in ("input", "design"):
-            if hasattr(args, req) and getattr(args, req) is None and req not in file_cfg:
-                parser.error(f"--{req} is required (flag or config key)")
-        if args.out is None and args.command != "validate" and "out" not in file_cfg:
-            parser.error("--out is required (flag or config key)")
-        return args.func(_merged_config(args, file_cfg))
+        cfg = _load_config_file(args.config) if args.config else {}
+        for key in cfg:
+            if key not in keys:
+                raise DataError(f"config key {key!r} is not a setting of "
+                                f"{args.command!r}, which reads {', '.join(keys)}")
+        cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+        for key in keys:
+            if SETTINGS[key][1] is None and key not in cfg:
+                parser.error(f"--{key} is required (flag or config key)")
+        settings = {key: _setting(cfg, key) for key in keys}
+        return func(settings, {"config_hash": _config_hash(cfg), "seed": settings.get("seed")})
     except (DataError, DesignError) as exc:
         print(f"error (validation): {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -259,7 +259,8 @@ class CurveFit:
     Stores the training points; each query solves the weighted least-squares
     polynomial centered there. `values` returns the intercept, `derivatives`
     the linear coefficient. The first evaluation builds the running sums of
-    the frames its queries need (`_MomentTable`); later queries reuse them.
+    the frames its queries need (`_MomentTable`); later queries reuse them,
+    and a query in a frame not yet held rebuilds them with that frame added.
     """
 
     def __init__(self, x, y, config: LocalPolyConfig | None = None):
@@ -294,8 +295,12 @@ class CurveFit:
         self._moments = None
 
     def _eval(self, queries):
-        """Values and derivatives at the queries, each independent of the others.
+        """Values and derivatives at the queries.
 
+        The last bits of a query's result depend on the frames the table
+        holds, because each frame's running sums continue those of the frames
+        before it. So a query may round differently on a fresh fit, or after a
+        call that added frames; calls that add none repeat it bit for bit.
         A query falls back to `_local_solve` if its window has fewer than
         degree + 2 points, spans more than three blocks, or fails the
         condition test.

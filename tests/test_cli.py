@@ -72,6 +72,14 @@ class TestValidate:
             main(["validate", "--design", str(workdir / "design.yaml")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--seed", "--out"])
+    def test_unread_flag_usage_error(self, workdir, tmp_path, flag):
+        # validate writes nothing and draws nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", str(workdir / "data.csv"),
+                  "--design", str(workdir / "design.yaml"), flag, "0"])
+        assert exc.value.code == 2
+
 
 class TestLearn:
     def test_outputs_and_safety(self, workdir):
@@ -268,6 +276,67 @@ class TestRejectedBeforeFitting:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, given, config, message", [
+        ("learn", ["input", "design"], "out: 5\n", "config value 'out' must be a string, got 5"),
+        ("validate", ["design"], "input: [data.csv]\n",
+         "config value 'input' must be a string, got ['data.csv']"),
+        # not a file descriptor; one no test opens, so a regression cannot close it
+        ("validate", ["input"], "design: 987\n",
+         "config value 'design' must be a string, got 987"),
+        ("simulate", [], "out: [a]\n", "config value 'out' must be a string, got ['a']"),
+    ], ids=["learn-out", "validate-input", "validate-design", "simulate-out"])
+    def test_paths_must_be_strings(self, workdir, tmp_path, capsys, monkeypatch, command, given,
+                                   config, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a population before checking the settings")
+
+        monkeypatch.setattr(simlab, "draw_population", draw)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.yaml").write_text(config)
+        files = {"input": "data.csv", "design": "design.yaml"}
+        flags = [arg for key in given for arg in (f"--{key}", str(workdir / files[key]))]
+        assert main([command, "--config", "run.yaml", *flags]) == 3
+        assert capsys.readouterr().err == f"error (validation): {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("sensitivity", "cost: 0.5\nmultiplier: 3\n", "cost"),
+        ("learn", "costs: [0.5]\n", "costs"),
+        ("learn", "multipler: 3\n", "multipler"),
+        ("validate", "seed: 1\n", "seed"),
+    ], ids=["sensitivity-cost", "learn-costs", "learn-typo", "validate-seed"])
+    def test_unread_config_key(self, workdir, tmp_path, capsys, command, config, key):
+        (tmp_path / "run.yaml").write_text(config)
+        out = [] if command == "validate" else ["--out", str(tmp_path / "x")]
+        rc = main([command, "--config", str(tmp_path / "run.yaml"),
+                   "--input", str(workdir / "data.csv"), "--design", str(workdir / "design.yaml"),
+                   *out])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert f"config key {key!r} is not a setting of {command!r}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
+
+class TestConfigHash:
+    """The hash covers the merged config file and flags as given, so a file
+    holding only keys its command reads keeps the hash it always had."""
+
+    @pytest.mark.parametrize("command, config, flags, line", [
+        ("learn", "seed: 4\nmultiplier: 2.0\nfolds: 3\n", [],
+         "# config_hash=55220f33169e4aca seed=4"),
+        ("sensitivity", "multipliers: [0, 2]\ncosts: [0.5]\n", ["--seed", "3"],
+         "# config_hash=6216002866cb4a9f seed=3"),
+    ], ids=["learn", "sensitivity"])
+    def test_unchanged(self, workdir, tmp_path, monkeypatch, command, config, flags, line):
+        monkeypatch.chdir(workdir)  # the hash holds the paths as written
+        (tmp_path / "run.yaml").write_text(f"input: data.csv\ndesign: design.yaml\n{config}")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tmp_path / "run.yaml"), *flags,
+                     "--out", str(out)]) == 0
+        result = "objective_curves.csv" if command == "learn" else "sweep.csv"
+        assert read(out / result).splitlines()[0] == line
+
 
 class TestSensitivity:
     def test_row_count(self, workdir):
@@ -304,10 +373,12 @@ class TestSimulate:
                    "--reps", "1", "--seed", "8", "--out", str(tmp_path / "z")])
         assert rc == 3
 
-    def test_invalid_scenario_usage(self, workdir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--scenarios", "Q", "--out", str(tmp_path / "q")])
-        assert exc.value.code == 2
+    def test_invalid_scenario_usage(self, workdir, tmp_path, capsys):
+        # the scenario table checks a flag as it checks a config key
+        rc = main(["simulate", "--scenarios", "Q", "--out", str(tmp_path / "q")])
+        assert rc == 3
+        assert "scenario must be one of ['A', 'B'], got 'Q'" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
 
 
 def result_rows(path, header):

@@ -2,7 +2,8 @@
 top-level definition of the package is exported or used, every defaulted
 parameter of a package function and every defaulted field of a package
 dataclass is set by some call, every package name the README cites exists,
-and the README's library quickstart runs and imports only what it uses."""
+the README's library quickstart runs and imports only what it uses, and every
+flag of the README's CLI examples is a setting of its command."""
 import ast
 import functools
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import rdsafe
+from rdsafe.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/rdsafe/*.py"))
@@ -291,3 +293,28 @@ def test_readme_quickstart_runs(capsys):
     assert unused_imports(code) == []
     exec(compile(code, "README.md quickstart", "exec"), {})
     assert capsys.readouterr().out
+
+
+def cli_flags(text: str):
+    """(command, flag) of each `--flag` on an `rdsafe` line of the first shell
+    block under the "CLI" heading, with continued lines joined."""
+    section = text.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["rdsafe"]:
+            yield from ((words[1], flag) for flag in re.findall(r"--(\w+)", line))
+
+
+def test_readme_cli_flag_scanner():
+    text = ("intro\n## CLI\n\n```bash\n# not a command --help\nrdsafe learn --input a \\\n"
+            "    --seed 0\nrdsafe validate --design d\n```\n\n```bash\nrdsafe learn --x\n```\n")
+    assert list(cli_flags(text)) == [("learn", "input"), ("learn", "seed"),
+                                     ("validate", "design")]
+
+
+def test_readme_cli_flags_are_settings():
+    flags = list(cli_flags((ROOT / "README.md").read_text(encoding="utf-8")))
+    assert {command for command, _ in flags} == set(COMMANDS)
+    assert [(command, flag) for command, flag in flags
+            if flag != "config" and flag not in COMMANDS[command][2]] == []

@@ -242,6 +242,41 @@ class TestAffineRunningVariable:
             assert got == {label: a * c + b for label, c in want.items()}, (a, b)
 
 
+class TestRelabelledGroups:
+    """Renaming the groups, with the same cutoffs, renames the learned cutoffs
+    and leaves the gain bit for bit: the pipeline reads groups by rank only.
+    The names are taken in both orders, so sorting by label is caught too."""
+
+    @pytest.mark.parametrize("names", [("north", "south"), ("south", "north")],
+                             ids="-".join)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    def test_learned_cutoffs_follow(self, scenario, seed, names):
+        ds = generate(ScenarioSpec(scenario), 2000, seed=seed)
+        want = learn_policy(ds, LearnerConfig(seed=seed))
+        # the scenario's labels are its ranks
+        rename = dict(zip((1, 2), names))
+        design = StudyDesign({rename[label]: c for label, c in ds.design.cutoffs.items()})
+        renamed = Dataset(ds.x, np.array(names)[ds.rank - 1], ds.w, ds.y, design)
+        got = learn_policy(renamed, LearnerConfig(seed=seed))
+        assert got.policy.cutoffs == {rename[label]: c
+                                      for label, c in want.policy.cutoffs.items()}
+        assert got.objective_gain == want.objective_gain
+
+
+class TestShiftedOutcome:
+    """y -> y + c moves every value of every policy by c, so no cutoff moves."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    def test_learned_cutoffs_stay(self, scenario, seed):
+        ds = generate(ScenarioSpec(scenario), 2000, seed=seed)
+        want = learn_policy(ds, LearnerConfig(seed=seed)).policy.cutoffs
+        for c in (-100.0, 1000.0):
+            shifted = Dataset(ds.x, ds.rank, ds.w, ds.y + c, ds.design)
+            assert learn_policy(shifted, LearnerConfig(seed=seed)).policy.cutoffs == want, c
+
+
 @pytest.fixture(scope="module")
 def components():
     spec = ScenarioSpec("B")
